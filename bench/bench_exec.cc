@@ -1,14 +1,16 @@
 // B16 — batch-at-a-time execution vs the tuple-at-a-time plan-driven
-// path (EXPERIMENTS.md §B16). The workloads are the near-quadratic B14
-// joins the planner CANNOT hash-join (`=all` is not hash-joinable;
-// ordered var-var comparisons aren't either), so the conjunct driver
-// runs the nested loop in both modes and the measurement isolates what
-// batching buys: FROM candidate arrays materialized once per slot and
-// cached across re-entries (the tuple path re-copies the deep extent
-// on every inner-loop entry), plus per-batch prefilters over a
-// selection vector. The parallel variants fan the outer extent across
-// a worker pool — on a multi-core host they add on top of the batch
-// win; on a single-core host they measure fork/join overhead honestly.
+// path (EXPERIMENTS.md §B16). W0 and W1 are the B14 `=all` joins: the
+// planner hash-joins them (shared terminal values plus the empty `all`
+// side), so all three modes run the same O(|L|+|R|) join and measure
+// its probe cost. W2 is an ordered var-var comparison that CANNOT
+// hash-join, so the conjunct driver runs the nested loop in every mode
+// and isolates what batching buys: FROM candidate arrays materialized
+// once per slot and cached across re-entries (the tuple path re-copies
+// the deep extent on every inner-loop entry), plus per-batch
+// prefilters over a selection vector. The parallel variants fan the
+// outer extent across a worker pool — on a multi-core host they add on
+// top of the batch win; on a single-core host they measure fork/join
+// overhead honestly.
 //
 // ci.sh runs this binary with --benchmark_format=json and publishes
 // the result as BENCH_exec.json.
@@ -26,17 +28,20 @@ namespace xsql {
 namespace bench {
 namespace {
 
-// The two B16 workloads (B14 join shapes, scale-quadratic probe count,
-// near-empty answers so output cost never masks the scan cost).
-//  W0: the B14 `=all` self-join verbatim — the planner refuses to
-//      hash-join it (vacuous truth on empty sides), so both modes run
-//      |Employee|^2 probes.
-//  W1: ordered cross-class comparison — salaries (10k..90k) never
-//      equal ages, so the |Employee|x|Person| loop scans to an empty
-//      answer.
+// The three B16 workloads (B14 join shapes, near-empty answers so
+// output cost never masks the scan cost).
+//  W0: the B14 `=all` self-join verbatim — hash-joined; the answer is
+//      the equal-salary pairs.
+//  W1: `=all` across classes — salaries (20k..120k) never equal ages
+//      and every Person has an Age, so the hash join finds no pair and
+//      no empty side: an empty answer.
+//  W2: `<all` across classes — not hashable, so every mode runs the
+//      |Employee|x|Person| nested loop; no salary is below an age, so
+//      the loop scans to an empty answer.
 const char* kWorkloads[] = {
     "SELECT X, Y FROM Employee X, Employee Y WHERE X.Salary =all Y.Salary",
     "SELECT X, Y FROM Employee X, Person Y WHERE X.Salary =all Y.Age",
+    "SELECT X, Y FROM Employee X, Person Y WHERE X.Salary <all Y.Age",
 };
 
 /// Sessions per (scale, mode); shared across iterations so the plan
@@ -108,6 +113,7 @@ void BM_BatchParallel(benchmark::State& state) {
 
 #define B16_ARGS                                              \
   ->Args({0, 1})->Args({0, 8})->Args({1, 1})->Args({1, 8})    \
+      ->Args({2, 1})->Args({2, 8})                            \
       ->Unit(benchmark::kMillisecond)
 
 BENCHMARK(BM_TupleAtATime) B16_ARGS;

@@ -48,10 +48,11 @@ bool OidsRelate(const Oid& a, CompOp op, const Oid& b) {
 namespace {
 
 /// Tests `a op RHS` where RHS is quantified.
-bool RelateToSet(const Oid& a, CompOp op, Quant rq, const OidSet& rhs) {
+bool RelateToSet(const Oid& a, CompOp op, Quant rq,
+                 std::span<const Oid> rhs) {
   switch (rq) {
     case Quant::kNone:
-      return rhs.size() == 1 && OidsRelate(a, op, *rhs.begin());
+      return rhs.size() == 1 && OidsRelate(a, op, rhs.front());
     case Quant::kSome:
       for (const Oid& b : rhs) {
         if (OidsRelate(a, op, b)) return true;
@@ -68,11 +69,11 @@ bool RelateToSet(const Oid& a, CompOp op, Quant rq, const OidSet& rhs) {
 
 }  // namespace
 
-bool EvalComparison(const OidSet& lhs, Quant lq, CompOp op, Quant rq,
-                    const OidSet& rhs) {
+bool EvalComparison(std::span<const Oid> lhs, Quant lq, CompOp op, Quant rq,
+                    std::span<const Oid> rhs) {
   switch (lq) {
     case Quant::kNone:
-      return lhs.size() == 1 && RelateToSet(*lhs.begin(), op, rq, rhs);
+      return lhs.size() == 1 && RelateToSet(lhs.front(), op, rq, rhs);
     case Quant::kSome:
       for (const Oid& a : lhs) {
         if (RelateToSet(a, op, rq, rhs)) return true;

@@ -2,6 +2,7 @@
 #define XSQL_EVAL_COMPARATOR_H_
 
 #include <optional>
+#include <span>
 
 #include "ast/ast.h"
 #include "oid/oid.h"
@@ -24,8 +25,14 @@ bool OidsRelate(const Oid& a, CompOp op, const Oid& b);
 /// An unquantified side must be a singleton (the paper only omits the
 /// quantifier when the value is known to be a singleton, e.g. `20`);
 /// empty or multi-valued unquantified sides make the comparison false.
-bool EvalComparison(const OidSet& lhs, Quant lq, CompOp op, Quant rq,
-                    const OidSet& rhs);
+/// A side is any sorted, duplicate-free run of oids: an OidSet's
+/// elements, or a single oid viewed in place.
+bool EvalComparison(std::span<const Oid> lhs, Quant lq, CompOp op, Quant rq,
+                    std::span<const Oid> rhs);
+inline bool EvalComparison(const OidSet& lhs, Quant lq, CompOp op, Quant rq,
+                           const OidSet& rhs) {
+  return EvalComparison(lhs.elems(), lq, op, rq, rhs.elems());
+}
 
 /// Set comparators (§3.2): contains / containsEq / subset / subsetEq /
 /// setEq on value sets.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <unordered_map>
 
 #include "eval/aggregate.h"
@@ -282,7 +283,8 @@ class ConjunctDriver {
   /// the preconditions for the join to replace the two extent loops.
   bool HashJoinSlots(const Condition* cond, const Binding& binding,
                      size_t* lhs_from, size_t* rhs_from) const {
-    if (cond->kind != Condition::Kind::kComparison ||
+    if ((cond->kind != Condition::Kind::kComparison &&
+         cond->kind != Condition::Kind::kSetComparison) ||
         cond->lhs.kind != ValueExpr::Kind::kPath ||
         cond->rhs.kind != ValueExpr::Kind::kPath ||
         !cond->lhs.path.head.is_var() || !cond->rhs.path.head.is_var()) {
@@ -734,15 +736,18 @@ class ConjunctDriver {
     return st;
   }
 
-  /// Evaluates a variable-variable equality conjunct as a hash join:
-  /// builds a table from terminal values to head objects over the
-  /// smaller side's candidates, probes it with the larger side's, and
-  /// re-tests the exact §3.2 comparison on every candidate pair. The
-  /// probe is a *complete* filter for `=` under kNone/kSome quantifiers
-  /// — a true comparison needs a shared element — so no solution is
-  /// lost; the ground re-test keeps the singleton requirement of kNone
-  /// exact. Replaces the O(|L|·|R|) nested loop with O(|L|+|R|) side
-  /// evaluations plus output pairs.
+  /// Evaluates a variable-variable equality or set comparison conjunct
+  /// as a hash join: builds a table from terminal values to head objects
+  /// over the smaller side's candidates, probes it with the larger
+  /// side's, and re-tests the exact §3.2 condition on every candidate
+  /// pair. The candidates are a *complete* filter: a pair sharing no
+  /// terminal value can hold only through an empty side
+  /// (Planner::VacuousSidesOf), so a probe also pairs with the empty
+  /// build heads when the build side may hold vacuously, and with every
+  /// build head when its own empty side may. The ground re-test keeps
+  /// the rest exact (kNone singletons, strict subsets, setEq). Replaces
+  /// the O(|L|·|R|) nested loop with O(|L|+|R|) side evaluations plus
+  /// output pairs.
   Status EvalHashJoin(const Condition* cond, size_t lhs_from,
                       size_t rhs_from, Binding* binding,
                       const std::function<Status()>& next) {
@@ -781,14 +786,20 @@ class ConjunctDriver {
     const std::vector<Oid>& build_cands = build_left ? lhs_cands : rhs_cands;
     const std::vector<Oid>& probe_cands = build_left ? rhs_cands : lhs_cands;
 
+    const VacuousSides vacuous = Planner::VacuousSidesOf(*cond);
+    const bool build_vacuous = build_left ? vacuous.lhs : vacuous.rhs;
+    const bool probe_vacuous = build_left ? vacuous.rhs : vacuous.lhs;
+
     // Terminal value -> positions (in candidate order) of build heads
-    // reaching it.
+    // reaching it; `empty` lists the build heads reaching none.
     std::unordered_map<Oid, std::vector<size_t>, OidHash> table;
+    std::vector<size_t> empty;
     for (size_t bi = 0; bi < build_cands.size(); ++bi) {
       XSQL_RETURN_IF_ERROR(ev_->ctx_->Step());
       BindScope scope(binding, build_entry.var, build_cands[bi]);
       XSQL_ASSIGN_OR_RETURN(OidSet values,
                             ev_->EvalValue(build_expr, binding, *opts_));
+      if (values.empty()) empty.push_back(bi);
       for (const Oid& v : values) table[v].push_back(bi);
     }
     for (const Oid& probe_oid : probe_cands) {
@@ -799,14 +810,23 @@ class ConjunctDriver {
       // Distinct partners in candidate order: a pair must surface once
       // no matter how many terminal values it shares.
       std::vector<size_t> partners;
-      for (const Oid& v : values) {
-        auto it = table.find(v);
-        if (it == table.end()) continue;
-        partners.insert(partners.end(), it->second.begin(), it->second.end());
+      if (values.empty() && probe_vacuous) {
+        partners.resize(build_cands.size());
+        std::iota(partners.begin(), partners.end(), 0);
+      } else {
+        for (const Oid& v : values) {
+          auto it = table.find(v);
+          if (it == table.end()) continue;
+          partners.insert(partners.end(), it->second.begin(),
+                          it->second.end());
+        }
+        if (build_vacuous || (vacuous.both && values.empty())) {
+          partners.insert(partners.end(), empty.begin(), empty.end());
+        }
+        std::sort(partners.begin(), partners.end());
+        partners.erase(std::unique(partners.begin(), partners.end()),
+                       partners.end());
       }
-      std::sort(partners.begin(), partners.end());
-      partners.erase(std::unique(partners.begin(), partners.end()),
-                     partners.end());
       for (size_t bi : partners) {
         BindScope build_scope(binding, build_entry.var, build_cands[bi]);
         XSQL_ASSIGN_OR_RETURN(bool truth,

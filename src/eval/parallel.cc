@@ -1,5 +1,7 @@
 #include "eval/parallel.h"
 
+#include <span>
+
 #include "eval/comparator.h"
 #include "eval/evaluator.h"
 #include "store/database.h"
@@ -265,38 +267,30 @@ Status FilterBatchFast(Evaluator* ev, std::vector<FastCmp>* cmps,
 
   const Database& db = *ev->db();
   ExecutionContext* ctx = ev->exec_context();
-  OidSet scratch;  // singleton holder for scalar attributes / bare vars
   for (size_t i = 0; i < batch.size(); ++i) {
     if (!(*sel)[i]) continue;
     XSQL_RETURN_IF_ERROR(ctx->Step());
     for (const FastCmp& fast : *cmps) {
-      // The candidate-side value: a direct stored-attribute fetch (an
-      // absent attribute is the empty set, as in Invoke), or the
-      // candidate itself.
-      const OidSet* value;
-      static const OidSet kEmpty;
+      // The candidate-side value, viewed in place with no allocation: a
+      // stored set attribute, a scalar attribute or the candidate itself
+      // as a one-element run, or empty for an absent attribute (as in
+      // Invoke).
+      std::span<const Oid> value;
       if (!fast.var_side.is_attr) {
-        scratch = OidSet();
-        scratch.Insert(batch[i]);
-        value = &scratch;
+        value = std::span<const Oid>(&batch[i], 1);
       } else if (const AttrValue* attr =
                      db.GetAttribute(batch[i], fast.var_side.attr)) {
-        if (attr->set_valued()) {
-          value = &attr->set();
-        } else {
-          scratch = OidSet();
-          scratch.Insert(attr->scalar());
-          value = &scratch;
-        }
-      } else {
-        value = &kEmpty;
+        value = attr->set_valued()
+                    ? std::span<const Oid>(attr->set().elems())
+                    : std::span<const Oid>(&attr->scalar(), 1);
       }
+      const std::vector<Oid>& ground = fast.ground.elems();
       bool truth =
           fast.var_on_lhs
-              ? EvalComparison(*value, fast.cond->lquant, fast.cond->comp_op,
-                               fast.cond->rquant, fast.ground)
-              : EvalComparison(fast.ground, fast.cond->lquant,
-                               fast.cond->comp_op, fast.cond->rquant, *value);
+              ? EvalComparison(value, fast.cond->lquant, fast.cond->comp_op,
+                               fast.cond->rquant, ground)
+              : EvalComparison(ground, fast.cond->lquant,
+                               fast.cond->comp_op, fast.cond->rquant, value);
       if (fast.negate) truth = !truth;
       if (!truth) {
         (*sel)[i] = 0;

@@ -106,7 +106,13 @@ size_t Oid::Hash() const {
       mix(std::hash<int64_t>{}(int_));
       break;
     case OidKind::kReal:
-      mix(std::hash<double>{}(real_));
+      // Hash must agree with Compare: every NaN compares equal to every
+      // other NaN (and -0.0 to 0.0), whatever its sign or payload bits.
+      if (std::isnan(real_)) {
+        mix(0x7FF8000000000000ULL);
+      } else {
+        mix(std::hash<double>{}(real_ == 0.0 ? 0.0 : real_));
+      }
       break;
     case OidKind::kString:
     case OidKind::kAtom:

@@ -223,9 +223,11 @@ class PurityScan {
 }  // namespace
 
 bool Planner::HashJoinableShape(const Condition& cond) {
-  if (cond.kind != Condition::Kind::kComparison) return false;
-  if (cond.comp_op != CompOp::kEq) return false;
-  if (cond.lquant == Quant::kAll || cond.rquant == Quant::kAll) return false;
+  if (cond.kind == Condition::Kind::kComparison) {
+    if (cond.comp_op != CompOp::kEq) return false;
+  } else if (cond.kind != Condition::Kind::kSetComparison) {
+    return false;
+  }
   if (cond.lhs.kind != ValueExpr::Kind::kPath ||
       cond.rhs.kind != ValueExpr::Kind::kPath) {
     return false;
@@ -237,6 +239,29 @@ bool Planner::HashJoinableShape(const Condition& cond) {
   // only pays for itself when at least one side walks attributes.
   if (cond.lhs.path.trivial() && cond.rhs.path.trivial()) return false;
   return !(cond.lhs.path.head.var == cond.rhs.path.head.var);
+}
+
+VacuousSides Planner::VacuousSidesOf(const Condition& cond) {
+  VacuousSides sides;
+  if (cond.kind == Condition::Kind::kComparison) {
+    sides.lhs = cond.lquant == Quant::kAll;
+    sides.rhs = cond.rquant == Quant::kAll;
+    return sides;
+  }
+  switch (cond.set_op) {
+    case SetOp::kContains:
+    case SetOp::kContainsEq:
+      sides.rhs = true;
+      break;
+    case SetOp::kSubset:
+    case SetOp::kSubsetEq:
+      sides.lhs = true;
+      break;
+    case SetOp::kSetEq:
+      sides.both = true;
+      break;
+  }
+  return sides;
 }
 
 QueryPlan Planner::Plan(const Query& query, const RangeMap* ranges) const {
@@ -313,26 +338,32 @@ QueryPlan Planner::Plan(const Query& query, const RangeMap* ranges) const {
         }
         break;
       }
-      case Condition::Kind::kComparison: {
+      case Condition::Kind::kComparison:
+      case Condition::Kind::kSetComparison: {
         if (HashJoinableShape(cond) &&
             from_of_var.count(cond.lhs.path.head.var) != 0 &&
             from_of_var.count(cond.rhs.path.head.var) != 0) {
           rank = kRankHashJoin;
           plan.hash_joinable[i] = true;
-          plan.decisions.push_back(
+          const VacuousSides empty = VacuousSidesOf(cond);
+          const std::string lhs = cond.lhs.path.ToString();
+          const std::string rhs = cond.rhs.path.ToString();
+          std::string decision =
               "hash join p" + std::to_string(i) + ": " +
               cond.lhs.path.head.var.ToString() + " with " +
-              cond.rhs.path.head.var.ToString() + " on shared terminal values");
-        } else if (SideIsGround(cond.lhs) || SideIsGround(cond.rhs)) {
+              cond.rhs.path.head.var.ToString() + " on shared terminal values";
+          if (empty.both) decision += " + empty " + lhs + " and " + rhs;
+          if (empty.lhs) decision += " + empty " + lhs;
+          if (empty.rhs) decision += " + empty " + rhs;
+          plan.decisions.push_back(decision);
+        } else if (cond.kind == Condition::Kind::kComparison &&
+                   (SideIsGround(cond.lhs) || SideIsGround(cond.rhs))) {
           rank = kRankConstComparison;
         } else {
           rank = kRankComparison;
         }
         break;
       }
-      case Condition::Kind::kSetComparison:
-        rank = kRankComparison;
-        break;
       case Condition::Kind::kSubclassOf:
       case Condition::Kind::kApplicable:
         rank = kRankSchema;

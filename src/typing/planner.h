@@ -28,8 +28,9 @@ struct QueryPlan {
   /// Cost rank per top-level conjunct: among simultaneously-ready
   /// conjuncts the lowest rank runs first.
   std::vector<int> conjunct_rank;
-  /// Conjuncts evaluable as variable-variable equality hash joins
-  /// (both head variables FROM-declared over constant classes).
+  /// Conjuncts evaluable as hash joins: variable-variable equality
+  /// under any quantifiers, or a set comparison (both head variables
+  /// FROM-declared over constant classes).
   std::vector<bool> hash_joinable;
   /// False when §5 semantics pin declaration order: a nested UPDATE
   /// anywhere in the condition relies on left-to-right evaluation, so
@@ -55,10 +56,23 @@ struct QueryPlan {
   std::vector<std::string> decisions;
 };
 
+/// The sides through which a hash-joinable condition can hold although
+/// its two terminal value sets share no element: it then holds only
+/// through an empty side. `lhs`/`rhs` mark a side whose emptiness may
+/// satisfy it whatever the other side is — an `all`-quantified side of
+/// `=`, the right side of contains/containsEq, the left side of
+/// subset/subsetEq. `both` marks setEq, which needs both sides empty.
+struct VacuousSides {
+  bool lhs = false;
+  bool rhs = false;
+  bool both = false;
+};
+
 /// Selectivity-driven planner: turns the Theorem 6.1(2) range witness
 /// and the [BERT89] path-index statistics into (a) an enumeration order
 /// over the FROM extents, (b) a cost rank over WHERE conjuncts, and
-/// (c) hash-join markings for variable-variable equality conjuncts.
+/// (c) hash-join markings for variable-variable equality and set
+/// comparison conjuncts.
 /// Planning is advisory — every decision only reorders or re-implements
 /// work the evaluator would do anyway, never changes the §3.4 answer.
 class Planner {
@@ -72,11 +86,16 @@ class Planner {
   QueryPlan Plan(const Query& query, const RangeMap* ranges = nullptr) const;
 
   /// True when `cond` has the shape a hash join can serve: an equality
-  /// `P1 =... P2` with no kAll quantifier, both sides plain path
-  /// expressions whose only variable is the (distinct) head variable.
-  /// kAll is excluded because an empty side satisfies it vacuously,
-  /// which the shared-terminal-value filter cannot see.
+  /// `P1 q=q P2` under any quantifiers, or a set comparison `P1 setop
+  /// P2`, both sides plain path expressions whose only variable is the
+  /// (distinct) head variable. The join's candidate pairs are those
+  /// sharing a terminal value plus those VacuousSidesOf admits, which
+  /// together are complete: a pair sharing nothing holds only through
+  /// an empty side.
   static bool HashJoinableShape(const Condition& cond);
+
+  /// The empty sides that can satisfy a hash-joinable `cond` (§3.2).
+  static VacuousSides VacuousSidesOf(const Condition& cond);
 
  private:
   const Database& db_;

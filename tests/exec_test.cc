@@ -11,7 +11,9 @@
 // suite owns its worker pools and reads global metrics deltas.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -85,6 +87,25 @@ const char* kJoinTemplates[] = {
     "SELECT X, Y FROM Employee X, Employee Y WHERE X.Salary =all Y.Salary",
     "SELECT X, Y, Z FROM Employee X, Employee Y, Company Z WHERE "
     "X.Salary =some Y.Salary and Z.Divisions.Employees[X]",
+    // Vacuous sides: empty FamMembers (or members without an Age), and
+    // Persons without a Salary.
+    "SELECT X, Y FROM Employee X, Employee Y WHERE "
+    "X.FamMembers.Age =all Y.FamMembers.Age",
+    "SELECT X, Y FROM Employee X, Employee Y WHERE "
+    "X.FamMembers.Age all= Y.FamMembers.Age",
+    "SELECT X, Y FROM Employee X, Employee Y WHERE "
+    "X.FamMembers.Age all=all Y.FamMembers.Age",
+    "SELECT X, Y FROM Employee X, Employee Y WHERE "
+    "X.FamMembers.Age some=all Y.FamMembers.Age",
+    "SELECT X, Y FROM Employee X, Employee Y WHERE "
+    "X.FamMembers.Age all=some Y.FamMembers.Age",
+    "SELECT X, Y FROM Employee X, Person Y WHERE X.Salary =all Y.Salary",
+    "SELECT X, Y FROM Employee X, Employee Y WHERE "
+    "X.FamMembers setEq Y.FamMembers",
+    "SELECT X, Y FROM Employee X, Employee Y WHERE "
+    "X.FamMembers containsEq Y.FamMembers",
+    "SELECT X, Y FROM Employee X, Employee Y WHERE "
+    "X.FamMembers subsetEq Y.FamMembers",
 };
 
 /// Single-variable corpus templates (most are batch-eligible; the OR
@@ -141,11 +162,23 @@ Result<EvalOutput> RunPlanned(Database* db, const std::string& text,
 
 /// The differential matrix for one query: naive §3.4 reference ==
 /// tuple-at-a-time plan-driven == batched serial == batched parallel
-/// at every worker count.
+/// at every worker count. A lone join conjunct over two free FROM
+/// variables must run as the hash join in every mode.
 void ExpectAllModesEqual(Database* db, const std::string& text) {
   auto stmt = ParseAndResolve(text, *db);
   ASSERT_TRUE(stmt.ok()) << text;
   ASSERT_EQ(stmt->kind, Statement::Kind::kQuery);
+  const bool hash_join =
+      Planner(*db).Plan(*stmt->query->simple).hash_joinable ==
+      std::vector<bool>{true};
+  uint64_t joins = CounterValue("xsql.plan.hash_joins");
+  auto expect_hash_join = [&](const char* mode) {
+    const uint64_t now = CounterValue("xsql.plan.hash_joins");
+    if (hash_join) {
+      EXPECT_GT(now, joins) << mode << ": " << text;
+    }
+    joins = now;
+  };
 
   Evaluator reference(db);
   auto naive = reference.RunNaive(*stmt->query->simple);
@@ -155,10 +188,12 @@ void ExpectAllModesEqual(Database* db, const std::string& text) {
   auto tuple = RunPlanned(db, text, /*exec_batch=*/false, nullptr, 0);
   ASSERT_TRUE(tuple.ok()) << text << "\n" << tuple.status().ToString();
   EXPECT_EQ(Rows(tuple->relation), expected) << "tuple-at-a-time: " << text;
+  expect_hash_join("tuple-at-a-time");
 
   auto batched = RunPlanned(db, text, /*exec_batch=*/true, nullptr, 0);
   ASSERT_TRUE(batched.ok()) << text << "\n" << batched.status().ToString();
   EXPECT_EQ(Rows(batched->relation), expected) << "batched serial: " << text;
+  expect_hash_join("batched serial");
 
   for (size_t workers : {size_t{2}, size_t{4}}) {
     WorkerPool pool(workers - 1);  // the caller participates
@@ -168,6 +203,7 @@ void ExpectAllModesEqual(Database* db, const std::string& text) {
         << text << "\n" << parallel.status().ToString();
     EXPECT_EQ(Rows(parallel->relation), expected)
         << "parallel x" << workers << ": " << text;
+    expect_hash_join("parallel");
   }
 }
 
@@ -189,6 +225,23 @@ TEST_P(ExecDifferentialTest, AllModesEqualOnCorpus) {
   for (const char* tmpl : kCorpusTemplates) {
     ExpectAllModesEqual(&db, Instantiate(tmpl, &rng));
   }
+}
+
+TEST_P(ExecDifferentialTest, AllModesEqualOnNaNValuedJoin) {
+  // Every NaN equals every other NaN under `=`, whatever its sign or
+  // payload bits, so the hash join must bucket them together.
+  Database db;
+  BuildTinyDb(&db, GetParam());
+  const double kNaNs[] = {std::nan("1"), std::nan("2"),
+                          -std::numeric_limits<double>::quiet_NaN()};
+  const std::vector<Oid> employees = db.Extent(A("Employee")).elems();
+  for (size_t i = 0; i < employees.size(); ++i) {
+    Oid salary = i % 4 == 3 ? Oid::Real(1.5) : Oid::Real(kNaNs[i % 3]);
+    ASSERT_TRUE(db.SetScalar(employees[i], A("Salary"), salary).ok());
+  }
+  ExpectAllModesEqual(
+      &db,
+      "SELECT X, Y FROM Employee X, Employee Y WHERE X.Salary =some Y.Salary");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecDifferentialTest,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <unordered_set>
 
 namespace xsql {
@@ -58,6 +60,21 @@ TEST(OidTest, HashAgreesWithEquality) {
   std::unordered_set<Oid, OidHash> set;
   set.insert(Oid::Atom("x"));
   set.insert(Oid::Atom("x"));
+  EXPECT_EQ(set.size(), 1u);
+}
+
+TEST(OidTest, HashAgreesWithEqualityOnNaNAndSignedZero) {
+  // Compare treats every NaN as one value, so equal NaNs of another
+  // sign or payload must share a hash bucket; likewise -0.0 and 0.0.
+  const Oid payload = Oid::Real(std::nan("1"));
+  const Oid negative_quiet =
+      Oid::Real(-std::numeric_limits<double>::quiet_NaN());
+  ASSERT_EQ(payload, negative_quiet);
+  EXPECT_EQ(payload.Hash(), negative_quiet.Hash());
+  ASSERT_EQ(Oid::Real(-0.0), Oid::Real(0.0));
+  EXPECT_EQ(Oid::Real(-0.0).Hash(), Oid::Real(0.0).Hash());
+  std::unordered_set<Oid, OidHash> set = {payload, negative_quiet,
+                                          Oid::Real(std::nan("7"))};
   EXPECT_EQ(set.size(), 1u);
 }
 

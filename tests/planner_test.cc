@@ -18,6 +18,7 @@
 #include "eval/evaluator.h"
 #include "eval/plan_cache.h"
 #include "eval/session.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parser/parser.h"
 #include "store/index.h"
@@ -60,9 +61,28 @@ const char* kJoinTemplates[] = {
     "X.Residence.City =some Y.Residence.City",
     "SELECT X, Y FROM Employee X, Employee Y WHERE "
     "X.FamMembers.Age =some Y.FamMembers.Age",
-    // =all is NOT hash-joinable (vacuous truth on empty sides) — the
-    // differential still must hold because the planner refuses it.
     "SELECT X, Y FROM Employee X, Employee Y WHERE X.Salary =all Y.Salary",
+    // Vacuous sides: the generator leaves some FamMembers empty (and
+    // some members without an Age), and a Person that is no Employee
+    // has no Salary. The hash join must pair those empty sides exactly
+    // as the nested loop does.
+    "SELECT X, Y FROM Employee X, Employee Y WHERE "
+    "X.FamMembers.Age =all Y.FamMembers.Age",
+    "SELECT X, Y FROM Employee X, Employee Y WHERE "
+    "X.FamMembers.Age all= Y.FamMembers.Age",
+    "SELECT X, Y FROM Employee X, Employee Y WHERE "
+    "X.FamMembers.Age all=all Y.FamMembers.Age",
+    "SELECT X, Y FROM Employee X, Employee Y WHERE "
+    "X.FamMembers.Age some=all Y.FamMembers.Age",
+    "SELECT X, Y FROM Employee X, Employee Y WHERE "
+    "X.FamMembers.Age all=some Y.FamMembers.Age",
+    "SELECT X, Y FROM Employee X, Person Y WHERE X.Salary =all Y.Salary",
+    "SELECT X, Y FROM Employee X, Employee Y WHERE "
+    "X.FamMembers setEq Y.FamMembers",
+    "SELECT X, Y FROM Employee X, Employee Y WHERE "
+    "X.FamMembers containsEq Y.FamMembers",
+    "SELECT X, Y FROM Employee X, Employee Y WHERE "
+    "X.FamMembers subsetEq Y.FamMembers",
     // Three-way: two join conjuncts plus a constant filter.
     "SELECT X, Y, Z FROM Employee X, Employee Y, Company Z WHERE "
     "X.Salary =some Y.Salary and Z.Divisions.Employees[X]",
@@ -99,6 +119,12 @@ void AddIndexes(Database* db, PathIndexSet* indexes) {
       indexes->Add(*db, A("Person"), {A("Residence"), A("City")}).ok());
 }
 
+uint64_t HashJoinCount() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("xsql.plan.hash_joins")
+      .value();
+}
+
 /// Runs `text` three ways — naive §3.4 reference, planner off, planner
 /// on (optionally with indexes) — and requires identical multisets.
 void ExpectPlannedEqualsNaive(Database* db, const std::string& text,
@@ -127,9 +153,15 @@ void ExpectPlannedEqualsNaive(Database* db, const std::string& text,
   opts.plan = &plan;
   opts.indexes = indexes;
   if (typing.well_typed && typing.in_fragment) opts.ranges = &typing.ranges;
+  const uint64_t joins_before = HashJoinCount();
   auto planned = evaluator.Run(q, opts);
   ASSERT_TRUE(planned.ok()) << text << "\n" << planned.status().ToString();
   EXPECT_EQ(Rows(planned->relation), Rows(naive->relation)) << text;
+  // A lone join conjunct over two free FROM variables always runs as
+  // the hash join, so the differential above really exercised it.
+  if (plan.hash_joinable == std::vector<bool>{true}) {
+    EXPECT_GT(HashJoinCount(), joins_before) << text;
+  }
 }
 
 class PlannerDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
@@ -201,12 +233,69 @@ TEST_F(PlannerTest, EqualitySomeJoinIsHashJoinable) {
   EXPECT_TRUE(plan.allow_reorder);
 }
 
-TEST_F(PlannerTest, AllQuantifierIsNotHashJoinable) {
-  // =all holds vacuously on an empty side; a shared-terminal-value
-  // probe cannot see those answers, so the planner must refuse.
+/// Expects `X.<lhs> <op> Y.<rhs>` over two Employee variables to plan
+/// as a hash join whose vacuous sides are `want`.
+void ExpectHashJoinable(const Database& db, const std::string& join,
+                        VacuousSides want) {
+  const std::string text =
+      "SELECT X, Y FROM Employee X, Employee Y WHERE " + join;
+  auto stmt = ParseAndResolve(text, db);
+  ASSERT_TRUE(stmt.ok()) << text;
+  const Query& q = *stmt->query->simple;
+  QueryPlan plan = Planner(db).Plan(q);
+  EXPECT_EQ(plan.hash_joinable, std::vector<bool>{true}) << text;
+  const VacuousSides sides = Planner::VacuousSidesOf(*q.where);
+  EXPECT_EQ(sides.lhs, want.lhs) << text;
+  EXPECT_EQ(sides.rhs, want.rhs) << text;
+  EXPECT_EQ(sides.both, want.both) << text;
+}
+
+TEST_F(PlannerTest, EveryEqualityQuantifierPairIsHashJoinable) {
+  // A pair sharing no terminal value satisfies `=` only through an
+  // empty `all` side, so every quantifier pair hash-joins and the
+  // `all` sides are the ones the join must also pair when empty.
+  const struct {
+    const char* op;
+    VacuousSides sides;
+  } kCases[] = {
+      {"=", {}},
+      {"=some", {}},
+      {"=all", {.rhs = true}},
+      {"some=", {}},
+      {"some=some", {}},
+      {"some=all", {.rhs = true}},
+      {"all=", {.lhs = true}},
+      {"all=some", {.lhs = true}},
+      {"all=all", {.lhs = true, .rhs = true}},
+  };
+  for (const auto& c : kCases) {
+    ExpectHashJoinable(
+        db_, std::string("X.FamMembers.Age ") + c.op + " Y.FamMembers.Age",
+        c.sides);
+  }
+}
+
+TEST_F(PlannerTest, EverySetComparisonIsHashJoinable) {
+  // Disjoint sets satisfy contains/containsEq only with an empty right
+  // side, subset/subsetEq only with an empty left side, and setEq only
+  // when both are empty.
+  const struct {
+    const char* op;
+    VacuousSides sides;
+  } kCases[] = {
+      {"contains", {.rhs = true}}, {"containsEq", {.rhs = true}},
+      {"subset", {.lhs = true}},   {"subsetEq", {.lhs = true}},
+      {"setEq", {.both = true}},
+  };
+  for (const auto& c : kCases) {
+    ExpectHashJoinable(
+        db_, std::string("X.FamMembers ") + c.op + " Y.FamMembers", c.sides);
+  }
+}
+
+TEST_F(PlannerTest, SetComparisonWithAConstantIsNotHashJoinable) {
   QueryPlan plan = PlanFor(
-      "SELECT X, Y FROM Employee X, Employee Y WHERE "
-      "X.Salary =all Y.Salary");
+      "SELECT X FROM Employee X WHERE X.Qualifications containsEq {'bs'}");
   ASSERT_EQ(plan.hash_joinable.size(), 1u);
   EXPECT_FALSE(plan.hash_joinable[0]);
 }
@@ -412,6 +501,43 @@ TEST_F(PlannerTest, ExplainReportsPlannerDecisions) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_NE(report->find("planner"), std::string::npos) << *report;
   EXPECT_NE(report->find("hash join"), std::string::npos) << *report;
+}
+
+// B16's W0: an `=all` self-join, hash-joined with its empty right side.
+const char* kAllJoin =
+    "SELECT X, Y FROM Employee X, Employee Y WHERE X.Salary =all Y.Salary";
+
+TEST_F(PlannerTest, ExplainNamesTheVacuousSideOfAnAllJoin) {
+  auto report = session_->Explain(kAllJoin);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_NE(report->find("hash join p0: X with Y on shared terminal values "
+                         "+ empty Y.Salary"),
+            std::string::npos)
+      << *report;
+}
+
+TEST_F(PlannerTest, ExplainAnalyzeHashJoinSpanCountsTheAnswer) {
+  auto rel = session_->Query(kAllJoin);
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  ASSERT_GT(rel->size(), 0u);
+  auto analyzed = session_->Execute(std::string("EXPLAIN ANALYZE ") + kAllJoin);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  const std::string rows = "rows=" + std::to_string(rel->size());
+  std::string text;
+  bool found = false;
+  for (const auto& row : analyzed->relation.rows()) {
+    const std::string line = row[0].str();
+    text += line + "\n";
+    const size_t at = line.find(rows);
+    const size_t end = at + rows.size();
+    if (line.find("plan/hash-join") != std::string::npos &&
+        at != std::string::npos &&
+        (line[end] == ' ' || line[end] == ']')) {
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found) << "no plan/hash-join span with " << rows << "\n"
+                     << text;
 }
 
 TEST_F(PlannerTest, ExplainAnalyzeReportsCacheState) {
