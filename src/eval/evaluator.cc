@@ -988,54 +988,107 @@ std::vector<Oid> Evaluator::ClassesForInvoke(const Oid& oid) const {
   return classes;
 }
 
+template <typename Value, typename Compute>
+const Value& Evaluator::Memoized(ClassSetMemo<Value>* memo, const Oid& receiver,
+                                 const Oid& method, int arity,
+                                 Compute compute) {
+  if (memo_version_ != db_->version()) {
+    dispatch_memo_.clear();
+    methods_on_memo_.clear();
+    memo_version_ = db_->version();
+  }
+  static const std::vector<Oid> kNoClasses;
+  const std::vector<Oid>* direct = db_->graph().FindInstance(receiver);
+  const std::vector<Oid>& classes = direct != nullptr ? *direct : kNoClasses;
+  const OidKind kind = receiver.kind();  // picks a literal's builtin class
+  size_t hash = method.Hash() * 31 + static_cast<size_t>(arity) * 7 +
+                static_cast<size_t>(kind);
+  for (const Oid& cls : classes) hash = hash * 31 + cls.Hash();
+  auto [lo, hi] = memo->equal_range(hash);
+  for (auto it = lo; it != hi; ++it) {
+    const ClassSetEntry<Value>& entry = it->second;
+    if (entry.kind == kind && entry.arity == arity &&
+        entry.method == method && entry.classes == classes) {
+      return entry.value;
+    }
+  }
+  static obs::Counter& resolutions = obs::MetricsRegistry::Global().GetCounter(
+      "xsql.eval.dispatch_resolutions");
+  resolutions.Inc();
+  return memo
+      ->emplace(hash, ClassSetEntry<Value>{classes, kind, method, arity,
+                                           compute(classes)})
+      ->second.value;
+}
+
 Result<OidSet> Evaluator::Invoke(const Oid& receiver, const Oid& method,
                                  const std::vector<Oid>& args) {
   XSQL_RETURN_IF_ERROR(ctx_->Step());
-  if (args.empty()) {
-    // Stored attribute value (with behavioral inheritance of defaults).
-    if (const AttrValue* value = db_->GetAttribute(receiver, method)) {
-      return value->AsSet();
+  const int arity = static_cast<int>(args.size());
+  if (arity == 0) {
+    // Stored attribute value first, then (below) the default inherited
+    // from class-objects — GetAttribute's order.
+    if (const Object* obj = db_->GetObject(receiver)) {
+      if (const AttrValue* value = obj->Get(method)) return value->AsSet();
     }
   }
-  auto resolution = db_->methods().Resolve(db_->graph(),
-                                           ClassesForInvoke(receiver), method,
-                                           static_cast<int>(args.size()));
-  if (!resolution.ok()) {
-    if (resolution.status().code() == StatusCode::kNotFound) {
+  const Dispatch& dispatch = Memoized(
+      &dispatch_memo_, receiver, method, arity,
+      [&](const std::vector<Oid>& classes) {
+        return Dispatch{
+            arity == 0 ? db_->InheritedDefault(classes, method) : nullptr,
+            db_->methods().Resolve(db_->graph(), ClassesForInvoke(receiver),
+                                   method, arity)};
+      });
+  if (dispatch.inherited_default != nullptr) {
+    return dispatch.inherited_default->AsSet();
+  }
+  if (!dispatch.resolution.ok()) {
+    if (dispatch.resolution.status().code() == StatusCode::kNotFound) {
       // Undefined or inapplicable: no value, hence no database paths.
       return OidSet();
     }
-    return resolution.status();  // unresolved inheritance conflict
+    return dispatch.resolution.status();  // unresolved inheritance conflict
   }
-  const MethodBody* body = resolution->body.get();
-  if (const auto* native = dynamic_cast<const NativeMethodBody*>(body)) {
+  // Hold the body: a nested statement that writes clears the memo.
+  const std::shared_ptr<const MethodBody> body = dispatch.resolution->body;
+  if (const auto* native = dynamic_cast<const NativeMethodBody*>(body.get())) {
     return native->fn()(*db_, receiver, args);
   }
-  if (const auto* query = dynamic_cast<const QueryMethodBody*>(body)) {
+  if (const auto* query = dynamic_cast<const QueryMethodBody*>(body.get())) {
     return InvokeQueryMethod(*query, receiver, args);
   }
   return Status::RuntimeError("unknown method body kind: " + body->kind());
 }
 
 OidSet Evaluator::MethodsOn(const Oid& receiver, size_t arity) {
-  OidSet out;
-  if (arity == 0) {
-    if (const Object* obj = db_->GetObject(receiver)) {
-      for (const auto& [attr, value] : obj->attrs()) out.Insert(attr);
-    }
-    for (const Oid& cls : db_->graph().AllClassesOf(receiver)) {
-      if (const Object* class_obj = db_->GetObject(cls)) {
-        for (const auto& [attr, value] : class_obj->attrs()) out.Insert(attr);
-      }
-    }
-  }
-  for (const MethodRegistry::Entry& entry : db_->methods().AllDefinitions()) {
-    if (entry.arity == static_cast<int>(arity) &&
-        db_->IsInstanceOf(receiver, entry.cls)) {
-      out.Insert(entry.method);
-    }
-  }
-  return out;
+  const OidSet& inherited = Memoized(
+      &methods_on_memo_, receiver, Oid(), static_cast<int>(arity),
+      [&](const std::vector<Oid>&) {
+        OidSet out;
+        if (arity == 0) {
+          for (const Oid& cls : db_->graph().AllClassesOf(receiver)) {
+            if (const Object* class_obj = db_->GetObject(cls)) {
+              for (const auto& [attr, value] : class_obj->attrs()) {
+                out.Insert(attr);
+              }
+            }
+          }
+        }
+        for (const MethodRegistry::Entry& entry :
+             db_->methods().AllDefinitions()) {
+          if (entry.arity == static_cast<int>(arity) &&
+              db_->IsInstanceOf(receiver, entry.cls)) {
+            out.Insert(entry.method);
+          }
+        }
+        return out;
+      });
+  const Object* obj = arity == 0 ? db_->GetObject(receiver) : nullptr;
+  if (obj == nullptr || obj->attrs().empty()) return inherited;
+  OidSet own;
+  for (const auto& [attr, value] : obj->attrs()) own.Insert(attr);
+  return OidSet::Union(own, inherited);
 }
 
 Result<Oid> Evaluator::ResolveIdFunction(const std::string& fn,

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ast/ast.h"
@@ -257,10 +258,45 @@ class Evaluator : public MethodInvoker {
   /// builtin class of literals.
   std::vector<Oid> ClassesForInvoke(const Oid& oid) const;
 
+  /// What `method`/arity dispatches to on receivers of one class set:
+  /// the class-object default it inherits (arity 0) and the registry's
+  /// resolution, whose error is kept verbatim.
+  struct Dispatch {
+    const AttrValue* inherited_default = nullptr;
+    Result<MethodRegistry::Resolution> resolution;
+  };
+
+  /// A memo entry: the receiver class set it answers for (direct
+  /// classes plus the oid kind, which picks a literal's builtin class),
+  /// the method and arity, and the value computed for them.
+  template <typename Value>
+  struct ClassSetEntry {
+    std::vector<Oid> classes;
+    OidKind kind;
+    Oid method;
+    int arity;
+    Value value;
+  };
+  /// Keyed by the hash of the entry's key; equal hashes are compared.
+  template <typename Value>
+  using ClassSetMemo = std::unordered_multimap<size_t, ClassSetEntry<Value>>;
+
+  /// The `memo` entry for `receiver`'s class set, `method` and `arity`,
+  /// computing it with `compute` on a miss. A hit hashes the class list
+  /// in place and allocates nothing. Both memos are dropped whenever the
+  /// database version moved since they were filled.
+  template <typename Value, typename Compute>
+  const Value& Memoized(ClassSetMemo<Value>* memo, const Oid& receiver,
+                        const Oid& method, int arity, Compute compute);
+
   Database* db_;
   ViewResolver* views_;
   ExecutionContext* ctx_;
   int next_query_id_ = 0;
+  ClassSetMemo<Dispatch> dispatch_memo_;
+  /// The class-derived part of MethodsOn, keyed with a nil method.
+  ClassSetMemo<OidSet> methods_on_memo_;
+  uint64_t memo_version_ = 0;
 };
 
 }  // namespace xsql

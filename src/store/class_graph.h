@@ -99,6 +99,10 @@ class ClassGraph {
   /// Every (object, direct class) pair — snapshot/export support.
   std::vector<std::pair<Oid, Oid>> AllInstancePairs() const;
 
+  /// The classes `obj` directly belongs to, viewed in place (null when
+  /// none); valid until the next instance-of write.
+  const std::vector<Oid>* FindInstance(const Oid& obj) const;
+
   /// All classes `obj` belongs to (direct classes + their ancestors).
   OidSet AllClassesOf(const Oid& obj) const;
 
@@ -138,7 +142,6 @@ class ClassGraph {
   Node* FindMutable(const Oid& cls);
   /// COW: clones the shard first when it predates the current epoch.
   InstanceShard& WritableShard(const Oid& obj);
-  const std::vector<Oid>* FindInstance(const Oid& obj) const;
 
   std::unordered_map<Oid, std::shared_ptr<Node>, OidHash> nodes_;
   std::vector<Oid> class_list_;

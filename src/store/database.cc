@@ -277,10 +277,15 @@ const AttrValue* Database::GetAttribute(const Oid& obj, const Oid& attr) const {
   if (const Object* o = GetObject(obj)) {
     if (const AttrValue* v = o->Get(attr)) return v;
   }
+  const std::vector<Oid>* classes = graph_.FindInstance(obj);
+  return classes == nullptr ? nullptr : InheritedDefault(*classes, attr);
+}
+
+const AttrValue* Database::InheritedDefault(const std::vector<Oid>& classes,
+                                            const Oid& attr) const {
   // Behavioral inheritance of defaults: walk classes upward, level by
   // level, and take the nearest class-object that defines the attribute.
-  std::deque<Oid> frontier;
-  for (const Oid& cls : graph_.DirectClassesOf(obj)) frontier.push_back(cls);
+  std::deque<Oid> frontier(classes.begin(), classes.end());
   OidSet visited;
   while (!frontier.empty()) {
     std::vector<const AttrValue*> hits;

@@ -145,6 +145,12 @@ class Database {
   /// error — see §2 on undefined vs. inapplicable).
   const AttrValue* GetAttribute(const Oid& obj, const Oid& attr) const;
 
+  /// The default `attr` inherits from the class-objects above direct
+  /// classes `classes` — GetAttribute's walk for an object with no value
+  /// of its own. Stable until the next mutation.
+  const AttrValue* InheritedDefault(const std::vector<Oid>& classes,
+                                    const Oid& attr) const;
+
   /// True if `oid` denotes an instance of `cls`, including literal
   /// instances of the builtin classes and upward IS-A closure.
   bool IsInstanceOf(const Oid& oid, const Oid& cls) const;

@@ -62,10 +62,17 @@ Result<MethodRegistry::Resolution> MethodRegistry::Resolve(
   if (hits.size() == 1) {
     return Resolution{hits[0], defs_.at(Key{hits[0], method, arity})};
   }
-  // Multiple incomparable definitions at the same depth: consult the
-  // explicit conflict-resolution table (checked per starting class).
-  for (const Oid& start : classes) {
-    auto choice = conflict_choice_.find(Key{start, method, /*arity=*/-1});
+  // Multiple incomparable definitions at the same depth: the nearest
+  // class (upward BFS from the direct classes) whose recorded choice
+  // selects one of them decides, so subclasses inherit a resolution.
+  std::deque<Oid> pending(classes.begin(), classes.end());
+  visited = OidSet();
+  while (!pending.empty()) {
+    const Oid cls = pending.front();
+    pending.pop_front();
+    if (visited.Contains(cls)) continue;
+    visited.Insert(cls);
+    auto choice = conflict_choice_.find(Key{cls, method, /*arity=*/-1});
     if (choice != conflict_choice_.end()) {
       for (const Oid& hit : hits) {
         if (hit == choice->second ||
@@ -73,6 +80,9 @@ Result<MethodRegistry::Resolution> MethodRegistry::Resolve(
           return Resolution{hit, defs_.at(Key{hit, method, arity})};
         }
       }
+    }
+    for (const Oid& super : graph.DirectSuperclasses(cls)) {
+      pending.push_back(super);
     }
   }
   std::string msg = "unresolved multiple-inheritance conflict for " +

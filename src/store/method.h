@@ -52,7 +52,8 @@ class MethodRegistry {
                 std::shared_ptr<const MethodBody> body);
 
   /// Declares that class `cls` inherits `method` from superclass
-  /// `from_super` when multiple superclasses define it.
+  /// `from_super` when multiple superclasses define it. Subclasses of
+  /// `cls` inherit the choice unless a nearer class records its own.
   Status ResolveConflict(const Oid& cls, const Oid& method,
                          const Oid& from_super);
 

@@ -6,7 +6,8 @@
 // reaches workers, the row budget trips identically serial vs
 // parallel); the satellite regressions (shared active-domain snapshot
 // instead of a per-probe copy; index-generation staleness in the plan
-// cache); and the server wiring (ConcurrencyManager-owned pool,
+// cache); the per-evaluator method-dispatch memo against un-memoized
+// dispatch; and the server wiring (ConcurrencyManager-owned pool,
 // snapshot readers fan out). Runs serially (ctest label: exec) — the
 // suite owns its worker pools and reads global metrics deltas.
 #include <gtest/gtest.h>
@@ -27,6 +28,7 @@
 #include "obs/metrics.h"
 #include "parser/parser.h"
 #include "server/concurrency.h"
+#include "store/catalog.h"
 #include "store/index.h"
 #include "typing/planner.h"
 #include "typing/type_checker.h"
@@ -123,6 +125,9 @@ const char* kCorpusTemplates[] = {
     "SELECT W FROM Company Y WHERE Y.Retirees[W] or Y.President[W]",
     "SELECT X FROM Employee X WHERE not X.Salary > %1",
     "SELECT X FROM Vehicle X WHERE X subclassOf Vehicle or X.Color['red']",
+    // Attribute variable (Q5): every dispatch goes through MethodsOn and
+    // the memoized Invoke.
+    "SELECT \"Y FROM Person X WHERE X.\"Y.City['newyork']",
 };
 
 std::string Instantiate(const char* tmpl, Rng* rng) {
@@ -246,6 +251,241 @@ TEST_P(ExecDifferentialTest, AllModesEqualOnNaNValuedJoin) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecDifferentialTest,
                          ::testing::Values(1, 2, 3, 5, 8));
+
+// ------------------------------------------------ dispatch memo
+
+/// Un-memoized dispatch, Invoke's documented order spelled out: the
+/// stored or inherited attribute value, then MethodRegistry::Resolve,
+/// then the body. A query-defined body runs on a fresh evaluator.
+Result<OidSet> ReferenceInvoke(Database* db, const Oid& receiver,
+                               const Oid& method,
+                               const std::vector<Oid>& args) {
+  if (args.empty()) {
+    if (const AttrValue* value = db->GetAttribute(receiver, method)) {
+      return value->AsSet();
+    }
+  }
+  std::vector<Oid> classes = db->graph().DirectClassesOf(receiver);
+  if (receiver.is_numeric()) classes.push_back(builtin::Numeral());
+  if (receiver.is_string()) classes.push_back(builtin::String());
+  if (receiver.is_bool()) classes.push_back(builtin::Boolean());
+  if (receiver.is_nil()) classes.push_back(builtin::NilClass());
+  auto resolution = db->methods().Resolve(db->graph(), classes, method,
+                                          static_cast<int>(args.size()));
+  if (!resolution.ok()) {
+    if (resolution.status().code() == StatusCode::kNotFound) return OidSet();
+    return resolution.status();
+  }
+  if (const auto* native =
+          dynamic_cast<const NativeMethodBody*>(resolution->body.get())) {
+    return native->fn()(*db, receiver, args);
+  }
+  return Evaluator(db).Invoke(receiver, method, args);
+}
+
+/// Un-memoized MethodsOn: a direct enumeration of the receiver's own
+/// attributes, its classes' class-object attributes, and every method
+/// defined on a class it belongs to.
+OidSet ReferenceMethodsOn(const Database& db, const Oid& receiver,
+                          size_t arity) {
+  OidSet out;
+  if (arity == 0) {
+    if (const Object* obj = db.GetObject(receiver)) {
+      for (const auto& [attr, value] : obj->attrs()) out.Insert(attr);
+    }
+    for (const Oid& cls : db.graph().AllClassesOf(receiver)) {
+      if (const Object* class_obj = db.GetObject(cls)) {
+        for (const auto& [attr, value] : class_obj->attrs()) out.Insert(attr);
+      }
+    }
+  }
+  for (const MethodRegistry::Entry& entry : db.methods().AllDefinitions()) {
+    if (entry.arity == static_cast<int>(arity) &&
+        db.IsInstanceOf(receiver, entry.cls)) {
+      out.Insert(entry.method);
+    }
+  }
+  return out;
+}
+
+std::shared_ptr<NativeMethodBody> TagBody(int arity, const char* tag) {
+  return std::make_shared<NativeMethodBody>(
+      arity, /*set_valued=*/false,
+      [tag](Database&, const Oid&, const std::vector<Oid>&) -> Result<OidSet> {
+        return OidSet({Oid::String(tag)});
+      });
+}
+
+/// Multi-level class-object defaults (Country overridden on Staff),
+/// incomparable default providers (Status on Student and Employee: the
+/// smallest oid wins), a resolved conflict (`id` on Workstudy, inherited
+/// by TA), unresolved ones (`badge`, `rank`), literal receivers (Numeral
+/// methods), and native and query-defined methods.
+void BuildDispatchDb(Database* db, Session* session) {
+  auto ok = [](const Status& st) { ASSERT_TRUE(st.ok()) << st.ToString(); };
+  ok(db->DeclareClass(A("Person")));
+  ok(db->DeclareClass(A("Student"), {A("Person")}));
+  ok(db->DeclareClass(A("Employee"), {A("Person")}));
+  ok(db->DeclareClass(A("Workstudy"), {A("Student"), A("Employee")}));
+  ok(db->DeclareClass(A("TA"), {A("Workstudy")}));
+  ok(db->DeclareClass(A("Staff"), {A("Employee")}));
+  ok(db->SetScalar(A("Person"), A("Country"), Oid::String("usa")));
+  ok(db->SetScalar(A("Staff"), A("Country"), Oid::String("uk")));
+  ok(db->SetScalar(A("Employee"), A("Dept"), Oid::String("general")));
+  ok(db->SetScalar(A("Student"), A("Status"), Oid::String("student")));
+  ok(db->SetScalar(A("Employee"), A("Status"), Oid::String("employee")));
+  ok(db->DefineMethod(A("Person"), A("Status"), 0, TagBody(0, "method")));
+  ok(db->DefineMethod(A("Student"), A("id"), 0, TagBody(0, "student-id")));
+  ok(db->DefineMethod(A("Employee"), A("id"), 0, TagBody(0, "employee-id")));
+  ok(db->ResolveMethodConflict(A("Workstudy"), A("id"), A("Student")));
+  ok(db->DefineMethod(A("Student"), A("badge"), 0, TagBody(0, "s-badge")));
+  ok(db->DefineMethod(A("Employee"), A("badge"), 0, TagBody(0, "e-badge")));
+  ok(db->DefineMethod(A("Student"), A("rank"), 0, TagBody(0, "s-rank")));
+  ok(db->DefineMethod(A("Employee"), A("rank"), 0, TagBody(0, "e-rank")));
+  ok(db->DefineMethod(builtin::Numeral(), A("Twice"), 0,
+                      std::make_shared<NativeMethodBody>(
+                          0, false,
+                          [](Database&, const Oid& n, const std::vector<Oid>&)
+                              -> Result<OidSet> {
+                            return OidSet({Oid::Real(2 * n.numeric_value())});
+                          })));
+  ok(db->DefineMethod(builtin::Numeral(), A("Plus"), 1,
+                      std::make_shared<NativeMethodBody>(
+                          1, false,
+                          [](Database&, const Oid& n,
+                             const std::vector<Oid>& args) -> Result<OidSet> {
+                            return OidSet({Oid::Real(
+                                n.numeric_value() + args[0].numeric_value())});
+                          })));
+  const std::pair<const char*, const char*> people[] = {
+      {"ann", "Person"}, {"sam", "Student"}, {"eve", "Employee"},
+      {"wes", "Workstudy"}, {"tia", "TA"}, {"stu", "Staff"}};
+  for (const auto& [name, cls] : people) {
+    ok(db->NewObject(A(name), {A(cls)}));
+    ok(db->SetScalar(A(name), A("Name"), Oid::String(name)));
+  }
+  ok(db->NewObject(A("mix"), {A("Student"), A("Staff")}));
+  ok(db->SetScalar(A("eve"), A("Status"), Oid::String("own")));
+  auto greeting = session->Execute(
+      "ALTER CLASS Person ADD SIGNATURE Greeting => String "
+      "SELECT (Greeting) = N FROM Person X OID X WHERE X.Name[N]");
+  ASSERT_TRUE(greeting.ok()) << greeting.status().ToString();
+}
+
+/// Every (receiver, method, arity) through the session's memoized
+/// evaluator — twice, so the second call is a memo hit — against the
+/// un-memoized reference, errors included; MethodsOn likewise. The
+/// memoized calls of the second pass must resolve nothing.
+void ExpectDispatchMatchesReference(Database* db, Session* session,
+                                    const std::string& when) {
+  std::vector<Oid> receivers = {Oid::Int(3), Oid::Real(2.5),
+                                Oid::String("x"), Oid::Bool(true), Oid::Nil()};
+  db->ForEachObject([&](const Oid& oid, const Object&) {
+    receivers.push_back(oid);
+  });
+  const char* methods[] = {"Country", "Dept",  "Status",     "id",
+                           "badge",   "rank",  "Twice",      "Plus",
+                           "Greeting",
+                           "Name",    "Motto", "attributes", "superclasses",
+                           "nosuch"};
+  const std::vector<Oid> arg_lists[] = {{}, {Oid::Int(2)}};
+  Evaluator& memoized = session->evaluator();
+  for (int pass = 0; pass < 2; ++pass) {
+    uint64_t resolutions = 0;
+    auto counted = [&resolutions](auto call) {
+      const uint64_t before =
+          CounterValue("xsql.eval.dispatch_resolutions");
+      auto result = call();
+      resolutions += CounterValue("xsql.eval.dispatch_resolutions") - before;
+      return result;
+    };
+    size_t errors = 0;
+    for (const Oid& receiver : receivers) {
+      for (size_t arity : {size_t{0}, size_t{1}}) {
+        EXPECT_EQ(counted([&] { return memoized.MethodsOn(receiver, arity); }),
+                  ReferenceMethodsOn(*db, receiver, arity))
+            << when << ": MethodsOn " << receiver.ToString() << "/" << arity;
+      }
+      for (const char* method : methods) {
+        for (const std::vector<Oid>& args : arg_lists) {
+          const std::string what = when + ": " + receiver.ToString() + "." +
+                                   method + "/" + std::to_string(args.size());
+          Result<OidSet> got = counted(
+              [&] { return memoized.Invoke(receiver, A(method), args); });
+          Result<OidSet> want = ReferenceInvoke(db, receiver, A(method), args);
+          ASSERT_EQ(got.ok(), want.ok()) << what << ": "
+                                         << got.status().ToString() << " vs "
+                                         << want.status().ToString();
+          if (got.ok()) {
+            EXPECT_EQ(*got, *want) << what;
+          } else {
+            ++errors;
+            EXPECT_EQ(got.status().code(), want.status().code()) << what;
+            EXPECT_EQ(got.status().message(), want.status().message()) << what;
+          }
+        }
+      }
+    }
+    EXPECT_GT(errors, 0u) << when << ": the unresolved conflict went missing";
+    if (pass == 1) {
+      EXPECT_EQ(resolutions, 0u) << when << ": a memo hit resolved again";
+    }
+  }
+}
+
+TEST(DispatchMemoTest, MatchesUnmemoizedDispatchAcrossSchemaChanges) {
+  Database db;
+  Session session(&db);
+  BuildDispatchDb(&db, &session);
+  ExpectDispatchMatchesReference(&db, &session, "initial");
+
+  ASSERT_TRUE(db.SetScalar(A("Student"), A("Dept"), Oid::String("school")).ok());
+  ExpectDispatchMatchesReference(&db, &session, "default added");
+
+  ASSERT_TRUE(
+      db.DefineMethod(A("Employee"), A("id"), 0, TagBody(0, "staff-id")).ok());
+  auto redefined = session.Execute(
+      "ALTER CLASS Student "
+      "SELECT (Greeting) = N FROM Student X OID X WHERE X.Status[N]");
+  ASSERT_TRUE(redefined.ok()) << redefined.status().ToString();
+  ExpectDispatchMatchesReference(&db, &session, "methods redefined");
+
+  ASSERT_TRUE(
+      db.ResolveMethodConflict(A("Workstudy"), A("badge"), A("Employee")).ok());
+  ExpectDispatchMatchesReference(&db, &session, "conflict resolved");
+
+  ASSERT_TRUE(db.AddInstanceOf(A("ann"), A("Staff")).ok());
+  ASSERT_TRUE(db.AddInstanceOf(Oid::Int(3), A("Staff")).ok());
+  ExpectDispatchMatchesReference(&db, &session, "instance-of added");
+
+  // The script redefines Greeting, fills the memo with the new body, then
+  // fails; the rollback must take the memoized body with it.
+  auto failed = session.ExecuteScript(
+      "ALTER CLASS Person "
+      "SELECT (Greeting) = N FROM Person X OID X WHERE X.Country[N]; "
+      "SELECT X.Greeting FROM Person X; "
+      "SELECT X FROM Workstudy X WHERE X.rank",
+      /*atomic=*/true);
+  ASSERT_FALSE(failed.ok());
+  ExpectDispatchMatchesReference(&db, &session, "after a failed statement");
+}
+
+TEST(DispatchMemoTest, ResolutionsScaleWithTheSchemaNotTheExtent) {
+  auto resolutions = [](void (*build)(Database*, uint64_t)) -> uint64_t {
+    Database db;
+    build(&db, 3);
+    Session session(&db);
+    const uint64_t before = CounterValue("xsql.eval.dispatch_resolutions");
+    auto out = session.Query(
+        "SELECT \"Y FROM Person X WHERE X.\"Y.City['newyork']");
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    return CounterValue("xsql.eval.dispatch_resolutions") - before;
+  };
+  const uint64_t tiny = resolutions(BuildTinyDb);
+  const uint64_t medium = resolutions(BuildMediumDb);
+  EXPECT_GT(tiny, 0u);
+  EXPECT_EQ(tiny, medium);
+}
 
 // ------------------------------------------------ parallel machinery
 

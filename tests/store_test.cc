@@ -167,6 +167,36 @@ TEST(MethodRegistryTest, ConflictRequiresExplicitResolution) {
   EXPECT_EQ(resolved->defining_class, A("Student"));
 }
 
+TEST(MethodRegistryTest, ConflictResolutionIsInheritedBySubclasses) {
+  ClassGraph graph;
+  ASSERT_TRUE(graph.AddSubclass(A("Workstudy"), A("Student")).ok());
+  ASSERT_TRUE(graph.AddSubclass(A("Workstudy"), A("Employee")).ok());
+  ASSERT_TRUE(graph.AddSubclass(A("TA"), A("Workstudy")).ok());
+  ASSERT_TRUE(graph.AddSubclass(A("Tutor"), A("TA")).ok());
+  MethodRegistry registry;
+  ASSERT_TRUE(registry.Define(A("Student"), A("id"), 0,
+                              std::make_shared<CountBody>("s")).ok());
+  ASSERT_TRUE(registry.Define(A("Employee"), A("id"), 0,
+                              std::make_shared<CountBody>("e")).ok());
+  EXPECT_EQ(registry.Resolve(graph, {A("TA")}, A("id"), 0).status().code(),
+            StatusCode::kRuntimeError);
+  ASSERT_TRUE(
+      registry.ResolveConflict(A("Workstudy"), A("id"), A("Student")).ok());
+  for (const char* cls : {"Workstudy", "TA", "Tutor"}) {
+    auto resolved = registry.Resolve(graph, {A(cls)}, A("id"), 0);
+    ASSERT_TRUE(resolved.ok()) << cls << ": " << resolved.status().ToString();
+    EXPECT_EQ(resolved->defining_class, A("Student")) << cls;
+  }
+  // The nearest recorded choice wins over one further up.
+  ASSERT_TRUE(registry.ResolveConflict(A("TA"), A("id"), A("Employee")).ok());
+  auto nearer = registry.Resolve(graph, {A("Tutor")}, A("id"), 0);
+  ASSERT_TRUE(nearer.ok());
+  EXPECT_EQ(nearer->defining_class, A("Employee"));
+  auto own = registry.Resolve(graph, {A("Workstudy")}, A("id"), 0);
+  ASSERT_TRUE(own.ok());
+  EXPECT_EQ(own->defining_class, A("Student"));
+}
+
 TEST(MethodRegistryTest, NotFoundWhenUndefined) {
   ClassGraph graph;
   MethodRegistry registry;
