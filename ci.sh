@@ -10,13 +10,13 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 MODE="${1:-all}"
 
 # Dead-link check over the documentation: every relative markdown link
-# in README.md and docs/*.md must point at a file that exists (anchors
-# stripped; http(s) and mailto links are out of scope). Keeps the docs
-# map honest as files move.
+# in README.md, DESIGN.md, EXPERIMENTS.md, ROADMAP.md and docs/*.md must
+# point at a file that exists (anchors stripped; http(s) and mailto
+# links are out of scope). Keeps the docs map honest as files move.
 doc_link_check() {
   echo "==> doc link check"
   local failed=0 doc target resolved
-  for doc in README.md docs/*.md; do
+  for doc in README.md DESIGN.md EXPERIMENTS.md ROADMAP.md docs/*.md; do
     [[ -f "$doc" ]] || continue
     while IFS= read -r target; do
       [[ -z "$target" ]] && continue

@@ -47,9 +47,7 @@ StatementClass ClassifyStatement(const std::string& text,
   switch (parsed->kind) {
     case Statement::Kind::kCreateView:
       out.is_definition = true;
-      out.is_create_view = true;
       out.is_mutation_kind = true;
-      out.view_name = parsed->create_view->name.str();
       break;
     case Statement::Kind::kAlterClass:
       // Plain ADD SIGNATURE is fully captured by the snapshot's SIG
@@ -222,40 +220,22 @@ Status DurableDatabase::Recover() {
 Result<EvalOutput> DurableDatabase::Execute(const std::string& text) {
   if (wedged()) return WedgedStatus();
   StatementClass cls = ClassifyStatement(text, *db_);
-  const bool view_existed =
-      cls.is_create_view && session_->views().IsView(cls.view_name);
 
-  // Run the statement atomically in memory, holding the undo log open
-  // past Session::Execute so the effect can still be withdrawn if the
-  // WAL append fails: acknowledged ⇒ durable, failed ⇒ no trace.
+  // Run the statement atomically in memory under a savepoint held past
+  // Session::Execute, so the effect can still be withdrawn if the WAL
+  // append fails: acknowledged ⇒ durable, failed ⇒ no trace. The session
+  // has already restored a failed statement and EXPLAIN ANALYZE's
+  // scratch state under its own (nested) savepoint; diagnostics never
+  // reach the WAL.
   const uint64_t version_before = db_->version();
-  UndoLog undo;
-  db_->BeginUndo(&undo);
+  Session::Savepoint savepoint = session_->TakeSavepoint();
   Result<EvalOutput> out = session_->Execute(text);
-  db_->EndUndo();
-  auto withdraw = [&]() {
-    db_->Rollback(&undo);
-    if (cls.is_create_view && !view_existed) {
-      session_->views().Drop(cls.view_name);
-    }
-  };
-  if (!out.ok()) {
-    withdraw();
-    return out;
-  }
-  if (cls.is_diagnostic) {
-    // Diagnostics never reach the WAL. EXPLAIN ANALYZE's scratch
-    // mutations were recorded in this undo log (the session saw an
-    // enclosing transaction and left rollback to us): withdraw them so
-    // analyzing a mutating query durably leaves no trace.
-    if (db_->version() != version_before) withdraw();
-    return out;
-  }
+  if (!out.ok() || cls.is_diagnostic) return out;
   if (db_->version() == version_before) return out;  // read-only
 
   Status append = wal_->Append(text);
   if (!append.ok()) {
-    withdraw();
+    savepoint.Restore();
     if (FaultInjector::Global().crashed_for(dir_)) Wedge();
     return append;
   }
@@ -283,35 +263,16 @@ Result<EvalOutput> DurableDatabase::ExecuteForCommit(
   *ticket = 0;
   if (wedged()) return WedgedStatus();
   StatementClass cls = ClassifyStatement(text, *db_);
-  const bool view_existed =
-      cls.is_create_view && session->views().IsView(cls.view_name);
 
-  // Same in-memory atomicity as Execute: hold the undo log open past
-  // Session::Execute so a failed statement leaves no trace. Durability
-  // differs — instead of an inline fsync, the record is enqueued for
-  // group commit and the caller waits for its ticket after releasing
-  // the statement latch.
+  // Same in-memory atomicity as Execute, minus the outer savepoint: the
+  // session restores a failed statement and EXPLAIN ANALYZE's scratch
+  // state itself, and past a successful Execute nothing here can fail.
+  // Durability differs — instead of an inline fsync, the record is
+  // enqueued for group commit and the caller waits for its ticket after
+  // releasing the statement latch.
   const uint64_t version_before = db_->version();
-  UndoLog undo;
-  db_->BeginUndo(&undo);
   Result<EvalOutput> out = session->Execute(text);
-  db_->EndUndo();
-  auto withdraw = [&]() {
-    db_->Rollback(&undo);
-    if (cls.is_create_view && !view_existed) {
-      session->views().Drop(cls.view_name);
-    }
-  };
-  if (!out.ok()) {
-    withdraw();
-    return out;
-  }
-  if (cls.is_diagnostic) {
-    // Diagnostics never reach the WAL; withdraw EXPLAIN ANALYZE's
-    // scratch mutations (see Execute).
-    if (db_->version() != version_before) withdraw();
-    return out;
-  }
+  if (!out.ok() || cls.is_diagnostic) return out;
   if (db_->version() == version_before) return out;  // read-only
 
   // Enqueue while the caller still holds the exclusive latch: ticket

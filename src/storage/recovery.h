@@ -28,7 +28,6 @@ struct StatementClass {
   /// execute either, so every other field is trustworthy only when set.
   bool parse_ok = false;
   bool is_definition = false;
-  bool is_create_view = false;
   /// EXPLAIN [ANALYZE] / SYSTEM METRICS: never appended to the WAL.
   /// EXPLAIN ANALYZE may bump the in-memory version counter while it
   /// executes-and-rolls-back, so the version check alone cannot be
@@ -44,7 +43,6 @@ struct StatementClass {
   /// A query with an OID FUNCTION clause anywhere in its expression
   /// tree: evaluating it mints objects, i.e. a SELECT that writes.
   bool creates_objects = false;
-  std::string view_name;
 };
 
 /// Classifies `text` against the current schema. Used by recovery (DDL

@@ -107,31 +107,11 @@ std::shared_ptr<const MethodBody> MethodRegistry::Definition(
   return it == defs_.end() ? nullptr : it->second;
 }
 
-void MethodRegistry::Restore(const Oid& cls, const Oid& method, int arity,
-                             std::shared_ptr<const MethodBody> body) {
-  Key key{cls, method, arity};
-  if (body == nullptr) {
-    defs_.erase(key);
-  } else {
-    defs_[key] = std::move(body);
-  }
-}
-
 std::optional<Oid> MethodRegistry::ConflictChoice(const Oid& cls,
                                                   const Oid& method) const {
   auto it = conflict_choice_.find(Key{cls, method, /*arity=*/-1});
   if (it == conflict_choice_.end()) return std::nullopt;
   return it->second;
-}
-
-void MethodRegistry::RestoreConflictChoice(const Oid& cls, const Oid& method,
-                                           std::optional<Oid> from_super) {
-  Key key{cls, method, /*arity=*/-1};
-  if (!from_super.has_value()) {
-    conflict_choice_.erase(key);
-  } else {
-    conflict_choice_[key] = *from_super;
-  }
 }
 
 std::vector<MethodRegistry::Entry> MethodRegistry::AllDefinitions() const {

@@ -79,23 +79,12 @@ class MethodRegistry {
                                      const Oid& method, int arity) const;
 
   /// The direct definition of `method`/`arity` on `cls`, or null.
-  /// Undo support: captured before a Define overwrites it.
   std::shared_ptr<const MethodBody> Definition(const Oid& cls,
                                                const Oid& method,
                                                int arity) const;
 
-  /// Undo primitive: reinstates `body` as the direct definition (erases
-  /// the definition when `body` is null).
-  void Restore(const Oid& cls, const Oid& method, int arity,
-               std::shared_ptr<const MethodBody> body);
-
   /// The conflict-resolution choice recorded for (`cls`, `method`), if any.
   std::optional<Oid> ConflictChoice(const Oid& cls, const Oid& method) const;
-
-  /// Undo primitive: reinstates (or erases, when nullopt) the
-  /// conflict-resolution choice for (`cls`, `method`).
-  void RestoreConflictChoice(const Oid& cls, const Oid& method,
-                             std::optional<Oid> from_super);
 
   /// All (class, method, arity) triples with a direct definition.
   struct Entry {

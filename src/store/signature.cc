@@ -25,28 +25,6 @@ Status SignatureStore::Add(const Oid& cls, Signature sig) {
   return Status::OK();
 }
 
-bool SignatureStore::Has(const Oid& cls, const Signature& sig) const {
-  auto it = by_class_.find(cls);
-  if (it == by_class_.end()) return false;
-  for (const Signature& existing : it->second) {
-    if (existing == sig) return true;
-  }
-  return false;
-}
-
-void SignatureStore::Remove(const Oid& cls, const Signature& sig) {
-  auto it = by_class_.find(cls);
-  if (it == by_class_.end()) return;
-  auto& sigs = it->second;
-  for (auto pos = sigs.begin(); pos != sigs.end(); ++pos) {
-    if (*pos == sig) {
-      sigs.erase(pos);
-      break;
-    }
-  }
-  if (sigs.empty()) by_class_.erase(it);
-}
-
 std::vector<Signature> SignatureStore::Declared(const Oid& cls,
                                                 const Oid& method) const {
   std::vector<Signature> out;

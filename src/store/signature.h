@@ -45,13 +45,6 @@ class SignatureStore {
   /// Declares `sig` on `cls`.
   Status Add(const Oid& cls, Signature sig);
 
-  /// True if exactly `sig` is already declared on `cls`.
-  bool Has(const Oid& cls, const Signature& sig) const;
-
-  /// Undo primitive: removes one declaration of `sig` from `cls`.
-  /// No-op when absent.
-  void Remove(const Oid& cls, const Signature& sig);
-
   /// Signatures of `method` declared *directly* on `cls`.
   std::vector<Signature> Declared(const Oid& cls, const Oid& method) const;
 
