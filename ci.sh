@@ -74,6 +74,11 @@ run_suite() {
   # deltas, so it runs without test-level parallelism in the mix.
   echo "==> exec suite ($dir)"
   ctest --test-dir "$dir" -L exec --output-on-failure
+  # The oid and active-domain suite again, serially and by label: the
+  # process-wide oid intern table and the lazily built active-domain
+  # view are shared mutable state, raced by the suite's own threads.
+  echo "==> oid suite ($dir)"
+  ctest --test-dir "$dir" -L oid --output-on-failure
   # Dump the metrics of a representative workload as a build artifact
   # ($dir/metrics.json) — a quick diffable health check across commits.
   echo "==> metrics artifact ($dir/metrics.json)"
@@ -183,6 +188,11 @@ if [[ "$MODE" != "--plain-only" && "$MODE" != "--sanitize-only" ]]; then
   # plus the cancellation and guardrail tests run it hard.
   echo "==> TSan exec suite"
   ctest --test-dir build-tsan -L exec --output-on-failure
+  # The oid and active-domain suite under TSan: eight threads interning
+  # the same values, and snapshot readers racing to build one lazy
+  # active-domain view while the writer keeps mutating.
+  echo "==> TSan oid suite"
+  ctest --test-dir build-tsan -L oid --output-on-failure
 fi
 
 echo "==> CI OK"

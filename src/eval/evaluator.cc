@@ -1288,10 +1288,6 @@ bool Evaluator::TryRunParallel(const Query& query, const EvalOptions& opts,
     return entry.var.ToString() + " x" + std::to_string(partitions);
   });
 
-  // Build the only lazily-cached shared state workers read (the active
-  // domain snapshot) on this thread, before any worker can race it.
-  (void)db_->ActiveDomainShared();
-
   // Contiguous slices in extent order: worker p owns candidates
   // [p*chunk, (p+1)*chunk) — merging in partition order reproduces the
   // serial enumeration order of the outer extent.

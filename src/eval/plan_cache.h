@@ -28,30 +28,31 @@ struct PreparedPlan {
   /// Planning ran (implies has_typing).
   bool has_plan = false;
   QueryPlan plan;
-  /// Database::version() the preparation read; any mutation since makes
-  /// the entry stale (name resolution, ranges, extents all depend on
-  /// the schema and the instance).
+  /// Database::catalog_version() the preparation read. Name
+  /// resolution, typing and the plan's shape read only what moves it,
+  /// so an entry stays fresh across writes of data attributes; the
+  /// plan's cardinality estimates may then age, but never its answers.
   uint64_t db_version = 0;
 };
 
 /// A shared LRU cache of prepared statements keyed by normalized
 /// statement text + typing configuration. Hits skip parse, typecheck,
 /// and planning entirely; entries are invalidated by version mismatch
-/// at lookup time, so DDL or any mutation (which bumps
-/// `Database::version()`) can never serve a stale preparation.
+/// at lookup time, so DDL or any other mutation preparation reads
+/// (which moves `Database::catalog_version()`) can never serve a stale
+/// preparation.
 ///
 /// Thread safety: every operation takes the internal mutex. The server
 /// shares one cache across all connection sessions; parallel readers
 /// under the shared statement latch hit it concurrently, writers run
-/// under the exclusive latch and simply repopulate after bumping the
-/// version.
+/// under the exclusive latch and repopulate after a catalog change.
 class PlanCache {
  public:
   /// `capacity` 0 disables the cache (lookups miss, inserts drop).
   explicit PlanCache(size_t capacity = 64) : capacity_(capacity) {}
 
-  /// The fresh entry for `key` at `db_version`, or null. A version
-  /// mismatch erases the entry (counted as an invalidation, not a
+  /// The fresh entry for `key` at catalog stamp `db_version`, or null. A
+  /// stamp mismatch erases the entry (counted as an invalidation, not a
   /// miss-reuse); a hit refreshes LRU order.
   std::shared_ptr<const PreparedPlan> Lookup(const std::string& key,
                                              uint64_t db_version);

@@ -138,10 +138,10 @@ std::string Session::CacheKey(const std::string& text) const {
 Result<std::shared_ptr<const PreparedPlan>> Session::Prepare(
     const std::string& text) {
   const std::string key = CacheKey(text);
-  // Version read before parsing: everything below reads the catalogs at
-  // (or after) this version, so publishing under it can only ever
+  // Stamp read before parsing: everything below reads the catalogs at
+  // (or after) this stamp, so publishing under it can only ever
   // under-approximate freshness.
-  const uint64_t version = db_->version();
+  const uint64_t version = db_->catalog_version();
   if (std::shared_ptr<const PreparedPlan> hit = plans_->Lookup(key, version)) {
     return hit;
   }
@@ -149,8 +149,8 @@ Result<std::shared_ptr<const PreparedPlan>> Session::Prepare(
   prepared->db_version = version;
   XSQL_ASSIGN_OR_RETURN(prepared->stmt, ParseAndResolve(text, *db_));
   PrepareStatement(prepared.get());
-  // Only plain queries are worth publishing: DDL/DML executions bump
-  // the version, so their entries would be born stale; diagnostics are
+  // Only plain queries are published: a statement that writes may move
+  // the catalog stamp it was prepared at; diagnostics are
   // cheap wrappers around a query that gets its own entry.
   if (prepared->stmt.kind == Statement::Kind::kQuery) {
     plans_->Insert(key, prepared);
@@ -324,7 +324,7 @@ Result<EvalOutput> Session::ExecuteExplainAnalyze(const Statement& stmt) {
       obs::MetricsRegistry::Global().GetCounter("xsql.session.explain_analyze");
   analyzes.Inc();
   PreparedPlan prepared;
-  prepared.db_version = db_->version();
+  prepared.db_version = db_->catalog_version();
   prepared.stmt.kind = Statement::Kind::kQuery;
   prepared.stmt.query = stmt.query;
   // Would a plain execution of this query hit the shared cache right

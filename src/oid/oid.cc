@@ -1,11 +1,110 @@
 #include "oid/oid.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <deque>
 #include <functional>
+#include <limits>
+#include <mutex>
+
+#include "obs/metrics.h"
 
 namespace xsql {
+
+namespace {
+
+constexpr size_t kGolden = 0x9E3779B97F4A7C15ULL;
+
+void Mix(size_t* h, size_t v) { *h ^= v + kGolden + (*h << 6) + (*h >> 2); }
+
+/// The process-wide intern table: 64 shards, each an open-addressed set
+/// of Rep pointers under its own mutex. Reps live in a deque per shard
+/// so their addresses are stable; nothing is ever removed.
+class InternTable {
+ public:
+  static InternTable& Global() {
+    // Leaked on purpose: oids may be built and compared by threads and
+    // static destructors that outlive any orderly teardown.
+    static InternTable* table = new InternTable();
+    return *table;
+  }
+
+  const Oid::Rep* Intern(OidKind kind, size_t hash, std::string text,
+                         std::vector<Oid> args) {
+    Shard& shard = shards_[hash % kShards];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    const size_t mask = shard.slots.size() - 1;
+    size_t i = (hash >> 6) & mask;
+    for (; shard.slots[i] != nullptr; i = (i + 1) & mask) {
+      const Oid::Rep* rep = shard.slots[i];
+      if (rep->hash == hash && rep->kind == kind && rep->text == text &&
+          rep->args == args) {
+        return rep;
+      }
+    }
+    const Oid::Rep* rep = &shard.reps.emplace_back(
+        Oid::Rep{kind, hash, std::move(text), std::move(args)});
+    shard.slots[i] = rep;
+    if (2 * ++shard.used > shard.slots.size()) Grow(&shard);
+    Account(*rep);
+    return rep;
+  }
+
+  size_t count() const { return count_.load(std::memory_order_relaxed); }
+  size_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
+
+ private:
+  static constexpr size_t kShards = 64;
+  struct Shard {
+    std::mutex mu;
+    std::deque<Oid::Rep> reps;
+    std::vector<const Oid::Rep*> slots = std::vector<const Oid::Rep*>(16);
+    size_t used = 0;
+  };
+
+  static void Grow(Shard* shard) {
+    std::vector<const Oid::Rep*> slots(shard->slots.size() * 2);
+    const size_t mask = slots.size() - 1;
+    for (const Oid::Rep* rep : shard->slots) {
+      if (rep == nullptr) continue;
+      size_t i = (rep->hash >> 6) & mask;
+      while (slots[i] != nullptr) i = (i + 1) & mask;
+      slots[i] = rep;
+    }
+    shard->slots = std::move(slots);
+  }
+
+  void Account(const Oid::Rep& rep) {
+    static obs::Gauge& interned =
+        obs::MetricsRegistry::Global().GetGauge("xsql.oid.interned");
+    static obs::Gauge& interned_bytes =
+        obs::MetricsRegistry::Global().GetGauge("xsql.oid.interned_bytes");
+    // A Rep in its deque plus its slot (at most half the slots are in
+    // use), plus the heap the text and argument list own.
+    size_t size = sizeof(Oid::Rep) + 2 * sizeof(const Oid::Rep*) +
+                  rep.args.capacity() * sizeof(Oid);
+    if (rep.text.capacity() > std::string().capacity()) {
+      size += rep.text.capacity() + 1;
+    }
+    interned.Set(static_cast<int64_t>(
+        count_.fetch_add(1, std::memory_order_relaxed) + 1));
+    interned_bytes.Set(static_cast<int64_t>(
+        bytes_.fetch_add(size, std::memory_order_relaxed) + size));
+  }
+
+  Shard shards_[kShards];
+  std::atomic<size_t> count_{0};
+  std::atomic<size_t> bytes_{0};
+};
+
+double CanonicalReal(double v) {
+  if (std::isnan(v)) return std::numeric_limits<double>::quiet_NaN();
+  return v == 0.0 ? 0.0 : v;
+}
+
+}  // namespace
 
 Oid Oid::Bool(bool b) {
   Oid o;
@@ -29,30 +128,33 @@ Oid Oid::Real(double v) {
 }
 
 Oid Oid::String(std::string s) {
-  Oid o;
-  o.kind_ = OidKind::kString;
-  o.str_ = std::make_shared<const std::string>(std::move(s));
-  return o;
+  return Interned(OidKind::kString, std::move(s), {});
 }
 
 Oid Oid::Atom(std::string name) {
-  Oid o;
-  o.kind_ = OidKind::kAtom;
-  o.str_ = std::make_shared<const std::string>(std::move(name));
-  return o;
+  return Interned(OidKind::kAtom, std::move(name), {});
 }
 
 Oid Oid::Term(std::string fn, std::vector<Oid> args) {
+  for (Oid& arg : args) {
+    if (arg.is_real()) arg.real_ = CanonicalReal(arg.real_);
+  }
+  return Interned(OidKind::kTerm, std::move(fn), std::move(args));
+}
+
+Oid Oid::Interned(OidKind kind, std::string text, std::vector<Oid> args) {
+  size_t h = static_cast<size_t>(kind) * kGolden;
+  Mix(&h, std::hash<std::string>{}(text));
+  for (const Oid& arg : args) Mix(&h, arg.Hash());
   Oid o;
-  o.kind_ = OidKind::kTerm;
-  o.term_ = std::make_shared<const TermRep>(TermRep{std::move(fn), std::move(args)});
+  o.kind_ = kind;
+  o.rep_ = InternTable::Global().Intern(kind, h, std::move(text),
+                                        std::move(args));
   return o;
 }
 
-const std::string& Oid::term_fn() const { return term_->fn; }
-const std::vector<Oid>& Oid::term_args() const { return term_->args; }
-
-bool Oid::operator==(const Oid& other) const { return Compare(other) == 0; }
+size_t Oid::InternedCount() { return InternTable::Global().count(); }
+size_t Oid::InternedBytes() { return InternTable::Global().bytes(); }
 
 int Oid::Compare(const Oid& other) const {
   if (kind_ != other.kind_) return kind_ < other.kind_ ? -1 : 1;
@@ -75,14 +177,16 @@ int Oid::Compare(const Oid& other) const {
     }
     case OidKind::kString:
     case OidKind::kAtom: {
-      int c = str_->compare(*other.str_);
+      if (rep_ == other.rep_) return 0;
+      int c = rep_->text.compare(other.rep_->text);
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
     case OidKind::kTerm: {
-      int c = term_->fn.compare(other.term_->fn);
+      if (rep_ == other.rep_) return 0;
+      int c = rep_->text.compare(other.rep_->text);
       if (c != 0) return c < 0 ? -1 : 1;
-      const auto& a = term_->args;
-      const auto& b = other.term_->args;
+      const auto& a = rep_->args;
+      const auto& b = other.rep_->args;
       for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
         int e = a[i].Compare(b[i]);
         if (e != 0) return e;
@@ -93,34 +197,23 @@ int Oid::Compare(const Oid& other) const {
   return 0;
 }
 
-size_t Oid::Hash() const {
-  size_t h = static_cast<size_t>(kind_) * 0x9E3779B97F4A7C15ULL;
-  auto mix = [&h](size_t v) {
-    h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  };
+size_t Oid::ScalarHash() const {
+  size_t h = static_cast<size_t>(kind_) * kGolden;
   switch (kind_) {
-    case OidKind::kNil:
-      break;
     case OidKind::kBool:
     case OidKind::kInt:
-      mix(std::hash<int64_t>{}(int_));
+      Mix(&h, std::hash<int64_t>{}(int_));
       break;
     case OidKind::kReal:
       // Hash must agree with Compare: every NaN compares equal to every
       // other NaN (and -0.0 to 0.0), whatever its sign or payload bits.
       if (std::isnan(real_)) {
-        mix(0x7FF8000000000000ULL);
+        Mix(&h, 0x7FF8000000000000ULL);
       } else {
-        mix(std::hash<double>{}(real_ == 0.0 ? 0.0 : real_));
+        Mix(&h, std::hash<double>{}(real_ == 0.0 ? 0.0 : real_));
       }
       break;
-    case OidKind::kString:
-    case OidKind::kAtom:
-      mix(std::hash<std::string>{}(*str_));
-      break;
-    case OidKind::kTerm:
-      mix(std::hash<std::string>{}(term_->fn));
-      for (const Oid& a : term_->args) mix(a.Hash());
+    default:
       break;
   }
   return h;
@@ -140,15 +233,15 @@ std::string Oid::ToString() const {
       return buf;
     }
     case OidKind::kString:
-      return "'" + *str_ + "'";
+      return "'" + rep_->text + "'";
     case OidKind::kAtom:
-      return *str_;
+      return rep_->text;
     case OidKind::kTerm: {
-      std::string out = term_->fn;
+      std::string out = rep_->text;
       out += '(';
-      for (size_t i = 0; i < term_->args.size(); ++i) {
+      for (size_t i = 0; i < rep_->args.size(); ++i) {
         if (i > 0) out += ',';
-        out += term_->args[i].ToString();
+        out += rep_->args[i].ToString();
       }
       out += ')';
       return out;

@@ -2,8 +2,8 @@
 #define XSQL_OID_OID_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace xsql {
@@ -29,17 +29,22 @@ enum class OidKind : uint8_t {
 
 /// An immutable logical object id.
 ///
-/// `Oid` is a small value type: cheap to copy (strings and term bodies are
-/// shared), totally ordered (kind-major, then value) so it can key sorted
-/// containers, and hashable. Identity of the *object* is identity of the
-/// logical id; two distinct ids may denote the same conceptual entity
-/// (the paper explicitly permits `_mary65 == secretary(dept77)` at the
-/// conceptual level), but the store — like the paper's semantics — works
-/// with logical ids.
+/// `Oid` is a 16-byte trivially copyable value: a kind tag and one
+/// payload word. Booleans, integers and reals are held inline. Strings,
+/// atoms and id-terms are *interned*: the payload points at the one
+/// process-wide `Rep` for that value, so equality is a pointer compare
+/// and `Hash()` a load. Reps are never freed (see `InternedCount`).
+/// Oids are totally ordered (kind-major, then value: strings and atoms
+/// lexicographically, id-terms structurally) so they can key sorted
+/// containers. Identity of the *object* is identity of the logical id;
+/// two distinct ids may denote the same conceptual entity (the paper
+/// explicitly permits `_mary65 == secretary(dept77)` at the conceptual
+/// level), but the store — like the paper's semantics — works with
+/// logical ids.
 class Oid {
  public:
   /// Default-constructs `nil`.
-  Oid() : kind_(OidKind::kNil), int_(0), real_(0) {}
+  Oid() : kind_(OidKind::kNil), int_(0) {}
 
   static Oid Nil() { return Oid(); }
   static Oid Bool(bool b);
@@ -48,6 +53,8 @@ class Oid {
   static Oid String(std::string s);
   static Oid Atom(std::string name);
   /// Functional id-term `fn(args...)`. `fn` is the id-function symbol.
+  /// A real argument is stored canonically (-0.0 as 0, every NaN as
+  /// the quiet NaN), because equal ids must intern to one Rep.
   static Oid Term(std::string fn, std::vector<Oid> args);
 
   OidKind kind() const { return kind_; }
@@ -67,38 +74,76 @@ class Oid {
   /// Numeric value as double (valid when is_numeric()).
   double numeric_value() const { return is_int() ? static_cast<double>(int_) : real_; }
   /// String payload (valid for kString and kAtom).
-  const std::string& str() const { return *str_; }
+  inline const std::string& str() const;
   /// Function symbol of an id-term (valid for kTerm).
-  const std::string& term_fn() const;
+  inline const std::string& term_fn() const;
   /// Argument list of an id-term (valid for kTerm).
-  const std::vector<Oid>& term_args() const;
+  inline const std::vector<Oid>& term_args() const;
 
   /// Structural equality of logical ids.
-  bool operator==(const Oid& other) const;
+  bool operator==(const Oid& other) const {
+    if (kind_ != other.kind_) return false;
+    switch (kind_) {
+      case OidKind::kNil:
+        return true;
+      case OidKind::kBool:
+      case OidKind::kInt:
+        return int_ == other.int_;
+      case OidKind::kReal:
+        return Compare(other) == 0;
+      default:
+        return rep_ == other.rep_;
+    }
+  }
   bool operator!=(const Oid& other) const { return !(*this == other); }
   /// Total order: kind-major, then value; for use in sorted containers.
   bool operator<(const Oid& other) const { return Compare(other) < 0; }
   /// Three-way structural comparison (-1/0/+1).
   int Compare(const Oid& other) const;
 
-  size_t Hash() const;
+  inline size_t Hash() const;
 
   /// Renders the id the way the paper writes it: atoms bare, strings in
   /// single quotes, id-terms as `f(a,b)`.
   std::string ToString() const;
 
- private:
-  struct TermRep {
-    std::string fn;
+  /// Distinct interned strings, atoms and id-terms in this process, and
+  /// their approximate footprint in bytes (also the gauges
+  /// `xsql.oid.interned` and `xsql.oid.interned_bytes`).
+  static size_t InternedCount();
+  static size_t InternedBytes();
+
+  /// The shared body of an interned string, atom or id-term.
+  struct Rep {
+    OidKind kind;
+    /// Hash() of the oid, computed once at interning.
+    size_t hash;
+    /// The string or atom text, or the id-term's function symbol.
+    std::string text;
     std::vector<Oid> args;
   };
 
+ private:
+  bool interned() const { return kind_ >= OidKind::kString; }
+  /// Hash() of an inline (nil, bool, int or real) oid.
+  size_t ScalarHash() const;
+  static Oid Interned(OidKind kind, std::string text, std::vector<Oid> args);
+
   OidKind kind_;
-  int64_t int_;  // also stores bool
-  double real_;
-  std::shared_ptr<const std::string> str_;
-  std::shared_ptr<const TermRep> term_;
+  union {
+    int64_t int_;  // also stores bool
+    double real_;
+    const Rep* rep_;
+  };
 };
+
+static_assert(sizeof(Oid) == 16, "Oid is a tag and one payload word");
+static_assert(std::is_trivially_copyable_v<Oid>);
+
+const std::string& Oid::str() const { return rep_->text; }
+const std::string& Oid::term_fn() const { return rep_->text; }
+const std::vector<Oid>& Oid::term_args() const { return rep_->args; }
+size_t Oid::Hash() const { return interned() ? rep_->hash : ScalarHash(); }
 
 /// Hash functor for unordered containers keyed by Oid.
 struct OidHash {

@@ -1097,9 +1097,7 @@ class Resolver {
   }
 
   bool KnownToDatabase(const std::string& name) const {
-    Oid atom = Oid::Atom(name);
-    return db_.HasObject(atom) || db_.graph().IsClass(atom) ||
-           db_.ActiveDomain().Contains(atom);
+    return db_.InActiveDomain(Oid::Atom(name));
   }
 
   const Database& db_;

@@ -175,9 +175,6 @@ ConcurrencyManager::ConcurrencyManager(storage::DurableDatabase* dd,
     // a P-way fan-out needs P-1 pool threads.
     pool_ = std::make_unique<WorkerPool>(options_.exec_workers - 1);
   }
-  // Single-threaded here; a warm cache keeps snapshots born clean (their
-  // mutable lazy members never rebuilt by parallel readers).
-  PrewarmActiveDomain();
   // Install the recovered state as version 1: readers have a snapshot
   // to pin before the first commit.
   chain_.Install(ForkVersionLocked());
@@ -201,12 +198,11 @@ Result<uint64_t> ConcurrencyManager::CreateSession(SessionOptions options) {
   // Connections share one view catalog AND one prepared-plan cache: a
   // statement prepared by any connection is a parse+typecheck saved on
   // every other. The cache takes its own mutex and checks
-  // Database::version() at lookup, so snapshot readers at older
-  // versions can never be served a newer preparation (nor vice versa).
+  // Database::catalog_version() at lookup, so snapshot readers at older
+  // catalogs can never be served a newer preparation (nor vice versa).
   auto session = std::make_unique<Session>(&dd_->db(), std::move(options),
                                            &dd_->session().views(),
                                            &dd_->session().plan_cache());
-  PrewarmActiveDomain();
   latch_.ReleaseExclusive();
 
   std::lock_guard<std::mutex> lock(sessions_mu_);
@@ -404,7 +400,6 @@ Result<EvalOutput> ConcurrencyManager::ExecuteInternal(
     std::lock_guard<std::mutex> lock(pending_mu_);
     ++pending_rid_commits_;
   }
-  PrewarmActiveDomain();
   latch_.ReleaseExclusive();
   writes.Inc();
 
@@ -516,7 +511,6 @@ Status ConcurrencyManager::Checkpoint() {
     // rebind wanted. On success, point at the rotated appender.
     if (out.ok()) committer_.Rebind(dd_->wal());
   }
-  PrewarmActiveDomain();
   latch_.ReleaseExclusive();
   PublishStatus();
   return out;
@@ -537,7 +531,6 @@ Result<uint64_t> ConcurrencyManager::ApplyReplicated(
     // latch so no half-applied batch is ever observable.
     chain_.Install(ForkVersionLocked());
   }
-  PrewarmActiveDomain();
   latch_.ReleaseExclusive();
   if (n.ok()) {
     mutations_since_checkpoint_.fetch_add(*n, std::memory_order_relaxed);
@@ -562,12 +555,10 @@ Result<storage::BootstrapBundle> ConcurrencyManager::BuildBootstrapBundle() {
   Status drained = committer_.Drain();
   if (!drained.ok()) {
     dd_->Wedge();
-    PrewarmActiveDomain();
     latch_.ReleaseExclusive();
     return drained;
   }
   Result<storage::BootstrapBundle> bundle = dd_->ReadBootstrapBundle();
-  PrewarmActiveDomain();
   latch_.ReleaseExclusive();
   return bundle;
 }
@@ -593,10 +584,6 @@ void ConcurrencyManager::PublishStatus() {
                        static_cast<int64_t>(chain_.head_sequence()));
   options_.status->Set("mvcc_live_versions",
                        storage::VersionChain::live_versions());
-}
-
-void ConcurrencyManager::PrewarmActiveDomain() {
-  (void)dd_->db().ActiveDomain();
 }
 
 }  // namespace server

@@ -266,13 +266,6 @@ class ConcurrencyManager {
   /// also starts a new COW epoch on the master.
   std::shared_ptr<storage::DatabaseVersion> ForkVersionLocked();
 
-  /// Rebuilds Database::ActiveDomain()'s lazy cache. Called before
-  /// every exclusive-latch release (mutation, rollback, and checkpoint
-  /// paths alike) so the next fork finds the cache warm and snapshots
-  /// are born clean (their mutable lazy members never rebuilt by
-  /// readers).
-  void PrewarmActiveDomain();
-
   storage::DurableDatabase* dd_;
   Options options_;
   /// Worker pool for intra-query parallelism (null when

@@ -6,13 +6,35 @@ namespace xsql {
 
 namespace builtin {
 
-Oid Object() { return Oid::Atom("Object"); }
-Oid Numeral() { return Oid::Atom("Numeral"); }
-Oid String() { return Oid::Atom("String"); }
-Oid Boolean() { return Oid::Atom("Boolean"); }
-Oid NilClass() { return Oid::Atom("Nil"); }
-Oid MetaClass() { return Oid::Atom("Class"); }
-Oid MetaMethod() { return Oid::Atom("Method"); }
+// Interned once: every later call is a 16-byte copy.
+Oid Object() {
+  static const Oid oid = Oid::Atom("Object");
+  return oid;
+}
+Oid Numeral() {
+  static const Oid oid = Oid::Atom("Numeral");
+  return oid;
+}
+Oid String() {
+  static const Oid oid = Oid::Atom("String");
+  return oid;
+}
+Oid Boolean() {
+  static const Oid oid = Oid::Atom("Boolean");
+  return oid;
+}
+Oid NilClass() {
+  static const Oid oid = Oid::Atom("Nil");
+  return oid;
+}
+Oid MetaClass() {
+  static const Oid oid = Oid::Atom("Class");
+  return oid;
+}
+Oid MetaMethod() {
+  static const Oid oid = Oid::Atom("Method");
+  return oid;
+}
 
 std::vector<Oid> All() {
   return {Object(),   Numeral(),   String(),    Boolean(),

@@ -1,8 +1,10 @@
 #include "store/database.h"
 
+#include <algorithm>
 #include <deque>
 
 #include "common/fault.h"
+#include "obs/metrics.h"
 #include "store/catalog.h"
 
 namespace xsql {
@@ -28,19 +30,19 @@ Database::Database(ForkTag, const Database& src)
       signatures_(src.signatures_),
       methods_(src.methods_),
       objects_(src.objects_),
+      domain_counts_(src.domain_counts_),
       version_(src.version_),
-      cow_epoch_(src.cow_epoch_ + 1),
-      active_domain_(src.active_domain_),
-      active_domain_dirty_(src.active_domain_dirty_) {
+      catalog_version_(src.catalog_version_),
+      domain_version_(src.domain_version_),
+      cow_epoch_(src.cow_epoch_ + 1) {
   // The fork's first write to any shared node/shard must clone it.
   graph_.BumpEpoch();
+  std::lock_guard<std::mutex> lock(src.domain_view_mu_);
+  domain_view_ = src.domain_view_;
+  domain_view_at_ = src.domain_view_at_;
 }
 
 std::unique_ptr<Database> Database::Fork() const {
-  // Prewarm the lazy active-domain cache so the fork is born clean:
-  // concurrent readers of an immutable snapshot must never trigger a
-  // rebuild of a mutable member.
-  (void)ActiveDomain();
   return std::unique_ptr<Database>(new Database(ForkTag{}, *this));
 }
 
@@ -51,8 +53,7 @@ void Database::BeginNewEpoch() {
 
 void Database::CaptureSavepoints() {
   savepoints_.Capture(std::make_shared<SavedState>(
-      SavedState{graph_, signatures_, methods_, active_domain_,
-                 active_domain_dirty_, {}}));
+      SavedState{graph_, signatures_, methods_, {}}));
 }
 
 void Database::SaveObject(const Oid& oid) {
@@ -78,6 +79,10 @@ void Database::PopSavepoint(bool restore) {
   signatures_ = saved->signatures;
   methods_ = saved->methods;
   for (const auto& [oid, object] : saved->objects) {
+    // Count the pre-image in before the current object out, so an oid
+    // in both never passes through zero.
+    if (object.has_value()) CountObject(*object, +1);
+    if (const Object* now = GetObject(oid)) CountObject(*now, -1);
     auto& shard = objects_.Writable(oid, cow_epoch_);
     if (object.has_value()) {
       shard.insert_or_assign(oid, *object);
@@ -85,9 +90,41 @@ void Database::PopSavepoint(bool restore) {
       shard.erase(oid);
     }
   }
-  active_domain_ = saved->active_domain;
-  active_domain_dirty_ = saved->active_domain_dirty;
   ++version_;
+  TouchCatalog();
+}
+
+void Database::Count(const Oid& oid, int delta) {
+  auto& shard = domain_counts_.Writable(oid, cow_epoch_);
+  auto [it, entered] = shard.try_emplace(oid, 0);
+  it->second += delta;
+  const bool left = it->second == 0;
+  if (left) shard.erase(it);
+  if (entered || left) {
+    ++domain_version_;
+    if (oid.is_atom()) catalog_version_ = version_;  // name resolution
+  }
+}
+
+void Database::CountValue(const AttrValue& value, int delta) {
+  if (value.set_valued()) {
+    for (const Oid& v : value.set()) Count(v, delta);
+  } else {
+    Count(value.scalar(), delta);
+  }
+}
+
+void Database::CountAttr(const Oid& attr, const AttrValue& value,
+                         int delta) {
+  Count(attr, delta);
+  CountValue(value, delta);
+}
+
+void Database::CountObject(const Object& object, int delta) {
+  Count(object.id(), delta);
+  for (const auto& [attr, value] : object.attrs()) {
+    CountAttr(attr, value, delta);
+  }
 }
 
 Object* Database::FindMutableRaw(const Oid& oid) {
@@ -105,6 +142,7 @@ Status Database::DeclareClass(const Oid& cls, const std::vector<Oid>& supers) {
                                    cls.ToString());
   }
   Touch();
+  TouchCatalog();
   XSQL_RETURN_IF_ERROR(graph_.DeclareClass(cls));
   if (supers.empty()) {
     XSQL_RETURN_IF_ERROR(graph_.AddSubclass(cls, builtin::Object()));
@@ -124,6 +162,7 @@ Status Database::DeclareClass(const Oid& cls, const std::vector<Oid>& supers) {
 Status Database::AddSubclass(const Oid& sub, const Oid& super) {
   XSQL_RETURN_IF_ERROR(FaultCheck("Database::AddSubclass"));
   Touch();
+  TouchCatalog();
   XSQL_RETURN_IF_ERROR(graph_.AddSubclass(sub, super));
   XSQL_RETURN_IF_ERROR(graph_.AddInstance(sub, builtin::MetaClass()));
   return graph_.AddInstance(super, builtin::MetaClass());
@@ -141,6 +180,7 @@ Status Database::DeclareAttribute(const Oid& cls, const Oid& attr,
 Status Database::DeclareSignature(const Oid& cls, Signature sig) {
   XSQL_RETURN_IF_ERROR(FaultCheck("Database::DeclareSignature"));
   Touch();
+  TouchCatalog();
   if (!graph_.IsClass(cls)) {
     XSQL_RETURN_IF_ERROR(DeclareClass(cls));
   }
@@ -152,6 +192,7 @@ Status Database::DefineMethod(const Oid& cls, const Oid& method, int arity,
                               std::shared_ptr<const MethodBody> body) {
   XSQL_RETURN_IF_ERROR(FaultCheck("Database::DefineMethod"));
   Touch();
+  TouchCatalog();
   XSQL_RETURN_IF_ERROR(RegisterMethodObject(method));
   return methods_.Writable(cow_epoch_).Define(cls, method, arity,
                                               std::move(body));
@@ -161,6 +202,7 @@ Status Database::ResolveMethodConflict(const Oid& cls, const Oid& method,
                                        const Oid& from_super) {
   XSQL_RETURN_IF_ERROR(FaultCheck("Database::ResolveMethodConflict"));
   Touch();
+  TouchCatalog();
   return methods_.Writable(cow_epoch_).ResolveConflict(cls, method,
                                                        from_super);
 }
@@ -168,6 +210,7 @@ Status Database::ResolveMethodConflict(const Oid& cls, const Oid& method,
 Status Database::NewObject(const Oid& oid, const std::vector<Oid>& classes) {
   XSQL_RETURN_IF_ERROR(FaultCheck("Database::NewObject"));
   Touch();
+  TouchCatalog();
   GetOrCreate(oid);
   for (const Oid& cls : classes) {
     XSQL_RETURN_IF_ERROR(FaultCheck("Database::NewObject#class"));
@@ -185,6 +228,7 @@ Status Database::AddInstanceOf(const Oid& oid, const Oid& cls) {
     return Status::NotFound("unknown class " + cls.ToString());
   }
   Touch();
+  TouchCatalog();
   GetOrCreate(oid);
   return graph_.AddInstance(oid, cls);
 }
@@ -193,7 +237,17 @@ Status Database::SetScalar(const Oid& obj, const Oid& attr, const Oid& value) {
   XSQL_RETURN_IF_ERROR(FaultCheck("Database::SetScalar"));
   Touch();
   XSQL_RETURN_IF_ERROR(RegisterMethodObject(attr));
-  GetOrCreate(obj).SetScalar(attr, value);
+  TouchIfClassObject(obj);
+  Object& object = GetOrCreate(obj);
+  // New occurrences are counted before the old are dropped, so a value
+  // kept by the write never leaves the domain.
+  Count(value, +1);
+  if (const AttrValue* old = object.Get(attr)) {
+    CountValue(*old, -1);
+  } else {
+    Count(attr, +1);
+  }
+  object.SetScalar(attr, value);
   return Status::OK();
 }
 
@@ -201,7 +255,15 @@ Status Database::SetSet(const Oid& obj, const Oid& attr, OidSet values) {
   XSQL_RETURN_IF_ERROR(FaultCheck("Database::SetSet"));
   Touch();
   XSQL_RETURN_IF_ERROR(RegisterMethodObject(attr));
-  GetOrCreate(obj).SetSet(attr, std::move(values));
+  TouchIfClassObject(obj);
+  Object& object = GetOrCreate(obj);
+  for (const Oid& v : values) Count(v, +1);
+  if (const AttrValue* old = object.Get(attr)) {
+    CountValue(*old, -1);
+  } else {
+    Count(attr, +1);
+  }
+  object.SetSet(attr, std::move(values));
   return Status::OK();
 }
 
@@ -209,7 +271,16 @@ Status Database::AddToSet(const Oid& obj, const Oid& attr, const Oid& value) {
   XSQL_RETURN_IF_ERROR(FaultCheck("Database::AddToSet"));
   Touch();
   XSQL_RETURN_IF_ERROR(RegisterMethodObject(attr));
-  return GetOrCreate(obj).AddToSet(attr, value);
+  TouchIfClassObject(obj);
+  Object& object = GetOrCreate(obj);
+  const AttrValue* old = object.Get(attr);
+  if (old == nullptr) {
+    Count(attr, +1);
+    Count(value, +1);
+  } else if (old->set_valued() && !old->set().Contains(value)) {
+    Count(value, +1);
+  }
+  return object.AddToSet(attr, value);
 }
 
 Status Database::ClearAttribute(const Oid& obj, const Oid& attr) {
@@ -218,25 +289,23 @@ Status Database::ClearAttribute(const Oid& obj, const Oid& attr) {
     return Status::NotFound("no object " + obj.ToString());
   }
   Touch();
-  FindMutableRaw(obj)->Remove(attr);
+  TouchIfClassObject(obj);
+  Object* object = FindMutableRaw(obj);
+  if (const AttrValue* old = object->Get(attr)) CountAttr(attr, *old, -1);
+  object->Remove(attr);
   return Status::OK();
 }
 
 Status Database::RemoveInstanceOf(const Oid& oid, const Oid& cls) {
   XSQL_RETURN_IF_ERROR(FaultCheck("Database::RemoveInstanceOf"));
   Touch();
+  TouchCatalog();
   graph_.RemoveInstance(oid, cls);
   return Status::OK();
 }
 
 const Object* Database::GetObject(const Oid& oid) const {
   return objects_.Find(oid);
-}
-
-Object* Database::GetMutableObject(const Oid& oid) {
-  if (!HasObject(oid)) return nullptr;
-  Touch();
-  return FindMutableRaw(oid);
 }
 
 const AttrValue* Database::GetAttribute(const Oid& obj, const Oid& attr) const {
@@ -318,30 +387,22 @@ OidSet Database::Extent(const Oid& cls) const {
   return out;
 }
 
-const OidSet& Database::ActiveDomain() const {
-  if (active_domain_dirty_ || active_domain_ == nullptr) {
-    auto domain = std::make_shared<OidSet>();
-    ForEachObject([&](const Oid& oid, const Object& object) {
-      domain->Insert(oid);
-      for (const auto& [attr, value] : object.attrs()) {
-        domain->Insert(attr);
-        if (value.set_valued()) {
-          for (const Oid& v : value.set()) domain->Insert(v);
-        } else {
-          domain->Insert(value.scalar());
-        }
-      }
-    });
-    for (const Oid& cls : graph_.classes()) domain->Insert(cls);
-    active_domain_ = std::move(domain);
-    active_domain_dirty_ = false;
-  }
-  return *active_domain_;
-}
-
 std::shared_ptr<const OidSet> Database::ActiveDomainShared() const {
-  (void)ActiveDomain();  // rebuild if dirty
-  return active_domain_;
+  static obs::Counter& builds = obs::MetricsRegistry::Global().GetCounter(
+      "xsql.store.active_domain_builds");
+  std::lock_guard<std::mutex> lock(domain_view_mu_);
+  if (domain_view_ == nullptr || domain_view_at_ != domain_version_) {
+    std::vector<Oid> elems;
+    elems.reserve(domain_counts_.size() + graph_.classes().size());
+    domain_counts_.ForEach(
+        [&](const Oid& oid, uint32_t) { elems.push_back(oid); });
+    elems.insert(elems.end(), graph_.classes().begin(),
+                 graph_.classes().end());
+    domain_view_ = std::make_shared<const OidSet>(std::move(elems));
+    domain_view_at_ = domain_version_;
+    builds.Inc();
+  }
+  return domain_view_;
 }
 
 Status Database::RegisterMethodObject(const Oid& attr) {
@@ -349,12 +410,22 @@ Status Database::RegisterMethodObject(const Oid& attr) {
     return Status::InvalidArgument("attribute/method name must be an atom: " +
                                    attr.ToString());
   }
+  const std::vector<Oid>* classes = graph_.FindInstance(attr);
+  if (classes == nullptr || std::find(classes->begin(), classes->end(),
+                                      builtin::MetaMethod()) == classes->end()) {
+    TouchCatalog();  // a new method-object
+  }
   return graph_.AddInstance(attr, builtin::MetaMethod());
 }
 
 Object& Database::GetOrCreate(const Oid& oid) {
   SaveObject(oid);
-  return objects_.Writable(oid, cow_epoch_).try_emplace(oid, oid).first->second;
+  auto [it, created] = objects_.Writable(oid, cow_epoch_).try_emplace(oid, oid);
+  if (created) {
+    TouchCatalog();
+    Count(oid, +1);
+  }
+  return it->second;
 }
 
 Status Database::FaultCheck(const char* site) {

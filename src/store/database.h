@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -31,16 +32,18 @@ namespace xsql {
 ///    class-object (classes are objects and can carry default values);
 ///  * class extents for the literal classes use the *active domain*
 ///    (every oid occurring in the database), the standard logic-database
-///    reading of an otherwise infinite extent;
+///    reading of an otherwise infinite extent. Every mutator keeps a
+///    count of each oid's occurrences, so membership is an O(1) probe
+///    and the sorted view is built only when it is asked for;
 ///  * attribute names used in data are auto-registered as method-objects
 ///    (instances of `Method`) so that method variables can range over
 ///    them — the paper's schema-browsing feature.
 ///
 /// MVCC support: `Fork()` produces a structurally-shared copy in O(1):
-/// the object and instance-of maps are sharded, and every shard, class
-/// node and schema store is held by shared_ptr. After a fork, the first
-/// write to a shared piece in the new copy-on-write epoch clones it (see
-/// ClassGraph for the rule). A fork taken under the writer latch and
+/// the object, instance-of and occurrence-count maps are sharded, and
+/// every shard, class node and schema store is held by shared_ptr.
+/// After a fork, the first write to a shared piece in the new
+/// copy-on-write epoch clones it (see ClassGraph for the rule). A fork taken under the writer latch and
 /// never mutated again is an immutable snapshot that concurrent readers
 /// can use with no synchronization at all.
 ///
@@ -53,11 +56,9 @@ class Database {
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
-  /// A structurally-shared copy for MVCC: shares every piece and the
-  /// active-domain cache with `this`. The fork starts a new COW epoch,
-  /// so its first write to any shared piece clones it.
-  /// The active-domain cache is prewarmed first so the fork's mutable
-  /// lazy members never need a rebuild unless the fork itself mutates.
+  /// A structurally-shared copy for MVCC: shares every piece, and the
+  /// active-domain view when one is built, with `this`. The fork starts
+  /// a new COW epoch, so its first write to any shared piece clones it.
   ///
   /// If *this* database keeps mutating after the fork (the writer path:
   /// master forks a snapshot, then executes the next statement), the
@@ -69,13 +70,13 @@ class Database {
   void BeginNewEpoch();
 
   /// A rollback point, armed in O(1). The next mutation (every mutator
-  /// Touch()es first) captures the class graph, the signature and method
-  /// stores and the active-domain cache copy-on-write, in O(1) like
-  /// Fork() but with no prewarm. Objects are not shared with it: it
-  /// keeps a copy of each object before the first change to it, so a
-  /// write costs one object copy at any instance size. Savepoints nest;
-  /// each restores independently. One armed around a statement that
-  /// writes nothing captures nothing.
+  /// Touch()es first) captures the class graph and the signature and
+  /// method stores copy-on-write, in O(1) like Fork(). Objects are not
+  /// shared with it: it keeps a copy of each object before the first
+  /// change to it, so a write costs one object copy at any instance
+  /// size. A restore puts those copies back and corrects the occurrence
+  /// counts from them. Savepoints nest; each restores independently.
+  /// One armed around a statement that writes nothing captures nothing.
   using Savepoint = SavepointHandle<Database>;
   Savepoint TakeSavepoint() {
     savepoints_.Arm();
@@ -86,8 +87,9 @@ class Database {
   /// database back, in place, to the capture. `version()` then moves
   /// forward past every value seen since, so nothing stamped in between
   /// (cached plans, dispatch memos, view materializations) matches
-  /// again; the COW epoch never moves back. With nothing captured the
-  /// restore is a no-op and every cache stays warm.
+  /// again, and so does catalog_version(); the COW epoch never moves
+  /// back. With nothing captured the restore is a no-op and every cache
+  /// stays warm.
   void PopSavepoint(bool restore);
 
   // ---- Schema -------------------------------------------------------
@@ -143,7 +145,6 @@ class Database {
 
   bool HasObject(const Oid& oid) const { return objects_.Contains(oid); }
   const Object* GetObject(const Oid& oid) const;
-  Object* GetMutableObject(const Oid& oid);
 
   /// The value of `attr` on `obj`, applying default-value inheritance
   /// from class-objects (nearest class wins; among incomparable nearest
@@ -169,22 +170,34 @@ class Database {
 
   /// Every oid that occurs in the database: object ids, attribute names,
   /// attribute values (recursing into id-term arguments is not needed —
-  /// a term occurrence is itself a domain element).
-  const OidSet& ActiveDomain() const;
+  /// a term occurrence is itself a domain element) and classes.
+  const OidSet& ActiveDomain() const { return *ActiveDomainShared(); }
 
   /// The same set as a shared snapshot: callers that hold the domain
   /// across candidate probes (the path evaluator's unbound-variable
   /// fallback) take the pointer instead of copying the set per probe.
-  /// Stable until the next mutation (`Touch`) dirties the cache.
+  /// Built from the occurrence counts on first use after the domain
+  /// changed (counted by `xsql.store.active_domain_builds`), under a
+  /// mutex, so concurrent readers of one snapshot may all call it.
+  /// Stable until the next mutation.
   std::shared_ptr<const OidSet> ActiveDomainShared() const;
+
+  /// True when `oid` is in ActiveDomain(), in O(1) without building it.
+  bool InActiveDomain(const Oid& oid) const {
+    return domain_counts_.Contains(oid) || graph_.IsClass(oid);
+  }
 
   // ---- Components ---------------------------------------------------
 
   const ClassGraph& graph() const { return graph_; }
   /// Raw graph access for loading a snapshot into a fresh database. It
-  /// bypasses Touch(), so version() does not move and an armed savepoint
-  /// captures nothing: never use it inside a statement.
-  ClassGraph& mutable_graph() { return graph_; }
+  /// bypasses Touch(), so an armed savepoint captures nothing: never use
+  /// it inside a statement. It moves version() and catalog_version().
+  ClassGraph& mutable_graph() {
+    ++version_;
+    TouchCatalog();
+    return graph_;
+  }
   const SignatureStore& signatures() const { return *signatures_; }
   const MethodRegistry& methods() const { return *methods_; }
 
@@ -204,6 +217,17 @@ class Database {
   /// used for cache invalidation by higher layers.
   uint64_t version() const { return version_; }
 
+  /// The version() of the last mutation that statement preparation
+  /// reads (name resolution, typing, planning): schema mutators,
+  /// instance-of changes, object creation, a new method-object, an atom
+  /// entering or leaving the active domain, an attribute write on a
+  /// class-object, a restore and mutable_graph(). A write of data
+  /// attributes leaves it alone. Stamps the prepared-plan cache. Never
+  /// above version(), and equal to it until the next data write, so a
+  /// cache stamped with version() instead is still never stale, only
+  /// quicker to drop entries.
+  uint64_t catalog_version() const { return catalog_version_; }
+
  private:
   struct ForkTag {};
   Database(ForkTag, const Database& src);
@@ -219,8 +243,26 @@ class Database {
   void Touch() {
     if (savepoints_.NeedsCapture()) CaptureSavepoints();
     ++version_;
-    active_domain_dirty_ = true;
   }
+  /// A change preparation reads, made by the mutation whose Touch()
+  /// moved version() last; it may also change the domain's classes.
+  void TouchCatalog() {
+    catalog_version_ = version_;
+    ++domain_version_;
+  }
+  /// Moves catalog_version() when the attribute write about to happen
+  /// on `obj` changes a class-object (inheritable defaults).
+  void TouchIfClassObject(const Oid& obj) {
+    if (graph_.IsClass(obj)) TouchCatalog();
+  }
+  /// Adds `delta` (±1) occurrences of `oid` to the domain counts.
+  void Count(const Oid& oid, int delta);
+  /// Counts the values of one attribute entry (not its name).
+  void CountValue(const AttrValue& value, int delta);
+  /// Counts one attribute entry: its name and every value.
+  void CountAttr(const Oid& attr, const AttrValue& value, int delta);
+  /// Counts a whole object: its id and every attribute entry.
+  void CountObject(const Object& object, int delta);
   void CaptureSavepoints();
   /// Before `oid`'s object changes: captures lacking it keep a copy.
   void SaveObject(const Oid& oid);
@@ -232,7 +274,13 @@ class Database {
   CowBox<SignatureStore> signatures_;
   CowBox<MethodRegistry> methods_;
   CowShardedMap<Object> objects_;
+  /// Occurrences of each oid in objects_ (ids, attribute names, values);
+  /// an oid is absent exactly when its count is zero.
+  CowShardedMap<uint32_t> domain_counts_;
   uint64_t version_ = 0;
+  uint64_t catalog_version_ = 0;
+  /// Moves whenever the active domain's membership may have changed.
+  uint64_t domain_version_ = 0;
   /// Copy-on-write epoch: shards/nodes stamped with an older epoch are
   /// shared with some fork and must be cloned before a write.
   uint64_t cow_epoch_ = 0;
@@ -241,19 +289,17 @@ class Database {
     ClassGraph graph;
     CowBox<SignatureStore> signatures;
     CowBox<MethodRegistry> methods;
-    std::shared_ptr<const OidSet> active_domain;
-    bool active_domain_dirty;
     /// Changed objects as they were before; nullopt: did not exist.
     std::unordered_map<Oid, std::optional<Object>, OidHash> objects;
   };
   /// Armed statement savepoints; never copied into a fork.
   SavepointStack<SavedState> savepoints_;
 
-  /// Lazily rebuilt by ActiveDomain(); shared (not copied) across forks.
-  /// A snapshot is always forked clean (prewarmed, dirty flag false), so
-  /// concurrent readers never write these mutable members.
-  mutable std::shared_ptr<const OidSet> active_domain_;
-  mutable bool active_domain_dirty_ = true;
+  /// The sorted view, built by ActiveDomainShared() at domain_version_
+  /// `domain_view_at_`; shared (not copied) with forks.
+  mutable std::mutex domain_view_mu_;
+  mutable std::shared_ptr<const OidSet> domain_view_;
+  mutable uint64_t domain_view_at_ = 0;
 };
 
 }  // namespace xsql

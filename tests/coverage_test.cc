@@ -130,14 +130,6 @@ TEST_F(CoverageTest, SelectBareLiteralAndSetLiteral) {
   EXPECT_TRUE(ne->empty());
 }
 
-TEST_F(CoverageTest, GetMutableObjectBumpsVersion) {
-  uint64_t v = db_.version();
-  Object* obj = db_.GetMutableObject(A("mary123"));
-  ASSERT_NE(obj, nullptr);
-  EXPECT_GT(db_.version(), v);
-  EXPECT_EQ(db_.GetMutableObject(A("missing")), nullptr);
-}
-
 TEST_F(CoverageTest, SubqueryAsSetComparisonSide) {
   auto rel = session_->Query(
       "SELECT X FROM Company X WHERE "

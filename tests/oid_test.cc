@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <string>
+#include <thread>
+#include <type_traits>
 #include <unordered_set>
+#include <vector>
 
 namespace xsql {
 namespace {
@@ -85,6 +90,161 @@ TEST(OidTest, ToStringMatchesPaperNotation) {
   EXPECT_EQ(Oid::Term("secretary", {Oid::Atom("dept77")}).ToString(),
             "secretary(dept77)");
   EXPECT_EQ(Oid::Nil().ToString(), "nil");
+}
+
+// ------------------------------------------------ the interned value
+
+static_assert(sizeof(Oid) == 16);
+static_assert(std::is_trivially_copyable_v<Oid>);
+
+/// Oid::Hash() as it was computed before interning, from the payload.
+size_t ReferenceHash(const Oid& oid) {
+  size_t h = static_cast<size_t>(oid.kind()) * 0x9E3779B97F4A7C15ULL;
+  auto mix = [&h](size_t v) {
+    h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+  };
+  switch (oid.kind()) {
+    case OidKind::kNil:
+      break;
+    case OidKind::kBool:
+    case OidKind::kInt:
+      mix(std::hash<int64_t>{}(oid.int_value()));
+      break;
+    case OidKind::kReal:
+      if (std::isnan(oid.real_value())) {
+        mix(0x7FF8000000000000ULL);
+      } else {
+        mix(std::hash<double>{}(oid.real_value() == 0.0 ? 0.0
+                                                        : oid.real_value()));
+      }
+      break;
+    case OidKind::kString:
+    case OidKind::kAtom:
+      mix(std::hash<std::string>{}(oid.str()));
+      break;
+    case OidKind::kTerm:
+      mix(std::hash<std::string>{}(oid.term_fn()));
+      for (const Oid& a : oid.term_args()) mix(ReferenceHash(a));
+      break;
+  }
+  return h;
+}
+
+TEST(OidInternTest, HashKeepsTheFormulaOfThePayload) {
+  // Shard placement and unordered iteration order depend on these values.
+  const std::vector<Oid> oids = {
+      Oid::Nil(),
+      Oid::Bool(true),
+      Oid::Int(-42),
+      Oid::Real(2.5),
+      Oid::Atom("mary123"),
+      Oid::Atom(""),
+      Oid::String("Ford Motor Co."),
+      Oid::String(std::string(100, 'x')),
+      Oid::Term("secretary", {Oid::Atom("dept77")}),
+      Oid::Term("f", {}),
+      Oid::Term("g", {Oid::Term("h", {Oid::Int(1), Oid::String("s")}),
+                      Oid::Real(0.5), Oid::Nil()}),
+  };
+  for (const Oid& oid : oids) {
+    EXPECT_EQ(oid.Hash(), ReferenceHash(oid)) << oid.ToString();
+  }
+}
+
+TEST(OidInternTest, CompareKeepsStringOrder) {
+  const std::vector<std::string> words = {
+      "", "a", "A", "ab", "b", "abc", "ab\x7f", "ab\x80", "z", "Zebra",
+      std::string(40, 'q'), std::string(40, 'q') + "r"};
+  for (const std::string& x : words) {
+    for (const std::string& y : words) {
+      const int want = x < y ? -1 : (y < x ? 1 : 0);
+      EXPECT_EQ(Oid::Atom(x).Compare(Oid::Atom(y)), want) << x << " " << y;
+      EXPECT_EQ(Oid::String(x).Compare(Oid::String(y)), want);
+      EXPECT_EQ(Oid::Term(x, {}).Compare(Oid::Term(y, {})), want);
+      EXPECT_EQ(Oid::Atom(x) == Oid::Atom(y), x == y);
+    }
+  }
+  // Id-terms: function symbol first, then arguments left to right, then
+  // the shorter argument list first.
+  EXPECT_LT(Oid::Term("f", {Oid::Int(9)}), Oid::Term("g", {Oid::Int(1)}));
+  EXPECT_LT(Oid::Term("f", {Oid::Int(1)}), Oid::Term("f", {Oid::Int(2)}));
+  EXPECT_LT(Oid::Term("f", {Oid::Int(1)}),
+            Oid::Term("f", {Oid::Int(1), Oid::Int(0)}));
+}
+
+TEST(OidInternTest, IdTermsWithNaNOrSignedZeroAgreeAndArePinned) {
+  const double nans[] = {std::numeric_limits<double>::quiet_NaN(),
+                         -std::numeric_limits<double>::quiet_NaN(),
+                         std::nan("7")};
+  const Oid nan_term = Oid::Term("f", {Oid::Real(nans[0])});
+  for (double nan : nans) {
+    const Oid t = Oid::Term("f", {Oid::Real(nan)});
+    EXPECT_EQ(t, nan_term);
+    EXPECT_EQ(t.Compare(nan_term), 0);
+    EXPECT_EQ(t.Hash(), nan_term.Hash());
+    EXPECT_EQ(t.ToString(), "f(nan)");
+  }
+  const Oid zero = Oid::Term("f", {Oid::Real(0.0)});
+  const Oid negative_zero = Oid::Term("f", {Oid::Real(-0.0)});
+  EXPECT_EQ(zero, negative_zero);
+  EXPECT_EQ(zero.Compare(negative_zero), 0);
+  EXPECT_EQ(zero.Hash(), negative_zero.Hash());
+  // Equal ids share one Rep, so one spelling, whichever came first.
+  EXPECT_EQ(negative_zero.ToString(), "f(0)");
+  EXPECT_EQ(Oid::Term("g", {Oid::Real(-0.0)}).ToString(), "g(0)");
+  // A bare real keeps its own sign.
+  EXPECT_EQ(Oid::Real(-0.0).ToString(), "-0");
+  EXPECT_EQ(zero.term_args()[0].Compare(Oid::Real(-0.0)), 0);
+}
+
+TEST(OidInternTest, EqualValuesShareOneRep) {
+  const Oid a = Oid::Atom("shared_rep_probe");
+  const Oid b = Oid::Atom(std::string("shared_rep_") + "probe");
+  EXPECT_EQ(&a.str(), &b.str());
+  EXPECT_NE(&a.str(), &Oid::String("shared_rep_probe").str());
+  const Oid t = Oid::Term("f", {a, Oid::Int(1)});
+  EXPECT_EQ(&t.term_fn(), &Oid::Term("f", {b, Oid::Int(1)}).term_fn());
+}
+
+TEST(OidInternTest, CountsOnlyNewValues) {
+  const size_t count = Oid::InternedCount();
+  const size_t bytes = Oid::InternedBytes();
+  (void)Oid::Atom("counts_only_new_values_probe");
+  EXPECT_EQ(Oid::InternedCount(), count + 1);
+  EXPECT_GT(Oid::InternedBytes(), bytes);
+  (void)Oid::Atom("counts_only_new_values_probe");
+  (void)Oid::Int(123456789);
+  EXPECT_EQ(Oid::InternedCount(), count + 1);
+}
+
+TEST(OidInternTest, ConcurrentInterningReturnsOneRepPerValue) {
+  // Eight threads intern the same names (and terms over them) in
+  // different orders; every thread must get the same Rep for a name.
+  constexpr int kThreads = 8;
+  constexpr int kNames = 2000;
+  std::vector<std::vector<const std::string*>> seen(
+      kThreads, std::vector<const std::string*>(kNames));
+  std::vector<std::vector<Oid>> terms(kThreads, std::vector<Oid>(kNames));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &seen, &terms] {
+      for (int k = 0; k < kNames; ++k) {
+        const int i = (k * 7919 + t * 131) % kNames;  // a per-thread order
+        const Oid atom = Oid::Atom("concurrent_" + std::to_string(i));
+        seen[t][i] = &atom.str();
+        terms[t][i] = Oid::Term("pair", {atom, Oid::Int(i)});
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 1; t < kThreads; ++t) {
+    for (int i = 0; i < kNames; ++i) {
+      ASSERT_EQ(seen[t][i], seen[0][i]) << i;
+      ASSERT_EQ(&terms[t][i].term_fn(), &terms[0][i].term_fn());
+      ASSERT_EQ(terms[t][i], terms[0][i]);
+    }
+  }
+  EXPECT_EQ(*seen[0][17], "concurrent_17");
 }
 
 TEST(OidSetTest, InsertSortsAndDedupes) {

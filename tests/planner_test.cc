@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -431,25 +432,205 @@ TEST_F(PlannerTest, WhitespaceVariantsShareACacheSlot) {
             PlanCache::NormalizeText("SELECT 'a b'"));
 }
 
-TEST_F(PlannerTest, MutationInvalidatesCachedPlans) {
+TEST_F(PlannerTest, DataWriteKeepsTheCachedPlan) {
   const char* kQ = "SELECT X FROM Person X WHERE X.Name['mary']";
-  ASSERT_TRUE(session_->Query(kQ).ok());
-  // Any mutation bumps Database::version(); the cached entry is stale.
+  ASSERT_EQ(session_->Query(kQ)->size(), 1u);
+  // A write of a data attribute leaves the catalog stamp alone...
+  const uint64_t catalog = db_.catalog_version();
   ASSERT_TRUE(
       session_->Execute("UPDATE CLASS Person SET mary123.Name = 'maria'")
           .ok());
+  EXPECT_EQ(db_.catalog_version(), catalog);
   obs::Tracer tracer;
   {
     obs::ScopedTracer install(&tracer);
     auto rel = session_->Query(kQ);
     ASSERT_TRUE(rel.ok());
-    EXPECT_TRUE(rel->empty());  // the rename is visible, not the cache
+    EXPECT_TRUE(rel->empty());  // the rename is visible
   }
-  // Stale entry dropped: the statement re-prepared from scratch.
-  std::vector<std::string> spans = TopSpans(tracer);
-  EXPECT_NE(std::find(spans.begin(), spans.end(), "parse"), spans.end());
-  EXPECT_NE(std::find(spans.begin(), spans.end(), "typecheck"),
-            spans.end());
+  // ...so the cached preparation serves the query with no re-preparation.
+  EXPECT_EQ(TopSpans(tracer), std::vector<std::string>{"statement"});
+}
+
+/// The individual variables `text` resolves to on `db`.
+std::vector<std::string> ResolvedVariables(const Database& db,
+                                           const std::string& text) {
+  auto stmt = ParseAndResolve(text, db);
+  EXPECT_TRUE(stmt.ok()) << text;
+  std::vector<std::string> names;
+  if (!stmt.ok()) return names;
+  for (const Variable& v : CollectVariables(*stmt->query->simple)) {
+    names.push_back(v.ToString());
+  }
+  return names;
+}
+
+TEST(PlanCacheStampTest, CatalogWritesRePrepareAndFlipABareName) {
+  // `Foo` is unknown, so the bare capitalized name is a variable; each
+  // write below makes it known, and so a constant.
+  const std::string kQ = "SELECT X FROM Person X WHERE X.Name[Foo]";
+  const std::vector<std::pair<std::string, std::function<Status(Database*)>>>
+      writes = {
+          {"a class", [](Database* db) { return db->DeclareClass(A("Foo")); }},
+          {"an instance-of edge",
+           [](Database* db) {
+             return db->AddInstanceOf(A("Foo"), A("Person"));
+           }},
+          {"a new atom",
+           [](Database* db) {
+             return db->SetScalar(A("mary123"), A("Name"), A("Foo"));
+           }},
+      };
+  for (const auto& [what, write] : writes) {
+    SCOPED_TRACE(what);
+    Database db;
+    BuildTinyDb(&db, 1);
+    ASSERT_TRUE(db.NewObject(A("mary123"), {A("Person")}).ok());
+    Session session(&db);
+    ASSERT_TRUE(session.Query(kQ).ok());
+    EXPECT_EQ(ResolvedVariables(db, kQ),
+              (std::vector<std::string>{"X", "Foo"}));
+    const uint64_t catalog = db.catalog_version();
+    ASSERT_TRUE(write(&db).ok());
+    EXPECT_GT(db.catalog_version(), catalog);
+    obs::Tracer tracer;
+    {
+      obs::ScopedTracer install(&tracer);
+      ASSERT_TRUE(session.Query(kQ).ok());
+    }
+    std::vector<std::string> spans = TopSpans(tracer);
+    EXPECT_NE(std::find(spans.begin(), spans.end(), "parse"), spans.end());
+    EXPECT_NE(std::find(spans.begin(), spans.end(), "typecheck"),
+              spans.end());
+    EXPECT_EQ(ResolvedVariables(db, kQ), std::vector<std::string>{"X"});
+  }
+}
+
+/// What a preparation of `text` on `db` read off the catalog: the
+/// resolved text and its variables, the strict typing verdict and the
+/// ranges of its witness.
+std::string PreparationFingerprint(const Database& db,
+                                   const std::string& text) {
+  auto stmt = ParseAndResolve(text, db);
+  if (!stmt.ok()) return "error: " + stmt.status().ToString();
+  const Query& query = *stmt->query->simple;
+  std::string out = stmt->ToString() + "\nvars:";
+  for (const Variable& v : CollectVariables(query)) out += " " + v.ToString();
+  const TypingResult typing =
+      TypeChecker(db).Check(query, TypingMode::kStrict);
+  out += "\nwell_typed=" + std::to_string(typing.well_typed) +
+         " in_fragment=" + std::to_string(typing.in_fragment) + " " +
+         typing.explanation + "\nranges:";
+  for (const auto& [var, range] : typing.ranges) {
+    out += " " + var.ToString() + ":" + range.ToString();
+  }
+  return out;
+}
+
+TEST(PlanCacheStampTest, PreparationIsStableWhileTheCatalogStampIs) {
+  // Random mutation sequences, data and catalog writes mixed, some
+  // failing and some rolled back. Whenever catalog_version() is where
+  // it was when a text was last prepared, preparing it afresh must read
+  // exactly what the cached preparation read.
+  const std::vector<std::string> texts = {
+      "SELECT X FROM Person X WHERE X.Name[Foo]",
+      "SELECT X FROM Person X WHERE X.Spouse[Bar]",
+      "SELECT X FROM Employee X WHERE X.Salary > 50000",
+      "SELECT Y FROM Person X WHERE X.Residence[Y].City['newyork']",
+      "SELECT X, Y FROM Employee X, Employee Y WHERE X.Salary =some "
+      "Y.Salary",
+      "SELECT X FROM Employee X WHERE X.FamMembers.Age some> 20",
+      "SELECT X FROM Foo X",
+      "SELECT C WHERE Bar.Residence.City[C]",
+      "SELECT \"Y FROM Person X WHERE X.\"Y['newyork']",
+      "SELECT X FROM Person X WHERE X.Hobby[Foo]",
+  };
+  const std::vector<Oid> atoms = {A("Foo"), A("Bar"), A("mary123"),
+                                  A("Person"), A("Employee")};
+  const std::vector<Oid> attrs = {A("Name"), A("Spouse"), A("Salary"),
+                                  A("Age"), A("FamMembers"), A("Hobby")};
+  size_t checked = 0;
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Database db;
+    BuildTinyDb(&db, seed);
+    Rng rng(seed);
+    std::vector<Oid> objects;
+    db.ForEachObject([&](const Oid& oid, const Object&) {
+      objects.push_back(oid);
+    });
+    std::sort(objects.begin(), objects.end());
+    objects.insert(objects.end(), atoms.begin(), atoms.end());
+    auto pick = [&](const std::vector<Oid>& from) {
+      return from[rng.Range(0, static_cast<int64_t>(from.size()) - 1)];
+    };
+    auto value = [&]() -> Oid {
+      switch (rng.Range(0, 3)) {
+        case 0:
+          return Oid::Int(rng.Range(0, 90000));
+        case 1:
+          return Oid::String("s" + std::to_string(rng.Range(0, 20)));
+        default:
+          return pick(objects);
+      }
+    };
+    auto mutate = [&]() {
+      const Oid obj = pick(objects);
+      const Oid attr = pick(attrs);
+      switch (rng.Range(0, 9)) {
+        case 0:
+        case 1:
+        case 2:
+          (void)db.SetScalar(obj, attr, value());
+          break;
+        case 3:
+          (void)db.AddToSet(obj, attr, value());
+          break;
+        case 4:
+          (void)db.ClearAttribute(obj, attr);
+          break;
+        case 5:
+          (void)db.AddInstanceOf(obj, rng.Range(0, 1) ? A("Person")
+                                                      : A("Employee"));
+          break;
+        case 6:
+          (void)db.RemoveInstanceOf(obj, A("Person"));
+          break;
+        case 7:
+          (void)db.DeclareClass(rng.Range(0, 1) ? A("Foo") : A("Bar"));
+          break;
+        case 8:
+          (void)db.SetScalar(obj, Oid::Int(7), value());  // fails
+          break;
+        default:
+          (void)db.NewObject(pick(atoms), {});
+          break;
+      }
+    };
+    std::map<std::string, std::pair<uint64_t, std::string>> cached;
+    for (int step = 0; step < 120; ++step) {
+      if (rng.Range(0, 4) == 0) {
+        Database::Savepoint savepoint = db.TakeSavepoint();
+        mutate();
+        mutate();
+        if (rng.Range(0, 1)) savepoint.Restore();
+      } else {
+        mutate();
+      }
+      ASSERT_LE(db.catalog_version(), db.version());
+      for (const std::string& text : texts) {
+        const std::string now = PreparationFingerprint(db, text);
+        auto it = cached.find(text);
+        if (it != cached.end() && it->second.first == db.catalog_version()) {
+          EXPECT_EQ(now, it->second.second) << "step " << step;
+          ++checked;
+        } else {
+          cached[text] = {db.catalog_version(), now};
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 500u);  // the sequences really exercised the claim
 }
 
 TEST_F(PlannerTest, CapacityZeroDisablesCaching) {
